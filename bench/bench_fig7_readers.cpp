@@ -211,9 +211,9 @@ OverlapResult run_overlap(bool optimistic) {
 
     const ReadConfig saved = read_config();
     read_config().optimistic = optimistic;
-    // Keep retrying through the writer's MUT phase instead of parking on the
-    // reader lock — a parked reader would sleep through the very overlap
-    // window this measures.
+    // Odd windows are waited out anyway; also keep retrying invalidated runs
+    // instead of parking on the reader lock — a parked reader would sleep
+    // through the very overlap window this measures.
     read_config().max_attempts = 1u << 20;
 
     // The reader free-runs from spawn and the burst window is carved out of
@@ -281,6 +281,7 @@ int main() {
         "Optimistic A/B: 90/10 read-mostly mix, 1 shard "
         "(seqlock fast path vs force-pessimistic)");
     auto json = JsonEmitter::from_env("readers");
+    json.scalar("profile", pmem::profile_name(pmem::effective_profile()));
     json.scalar("ms", double(bench_ms()), "%.0f");
     std::printf("%-6s %8s %-6s %10s %10s %9s\n", "PTM", "threads", "mode",
                 "read TX/s", "write TX/s", "opt share");

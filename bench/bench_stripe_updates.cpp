@@ -106,6 +106,7 @@ int main() {
     const auto threads = bench_threads();
 
     auto json = JsonEmitter::from_env("stripe");
+    json.scalar("profile", pmem::profile_name(pmem::effective_profile()));
     json.scalar("ms", double(bench_ms()), "%.0f");
 
     auto sweep = [&](const char* name, bool disjoint) {

@@ -240,9 +240,14 @@ class UndoLogPTM {
             return;
         }
         // Seqlock fast path (DESIGN.md §4.9): the writer bumps s.seq around
-        // its logging window, so a validated speculative reader never takes
-        // the shared mutex at all.
-        if (read_config().optimistic && try_optimistic_read(f)) return;
+        // its logging window; a speculative reader waits out an open window
+        // and takes the shared mutex only after max_attempts runs that a
+        // writer invalidated mid-flight.
+        if (read_config().optimistic &&
+            sync::optimistic_read(s.seq, tl.opt_active, tl.opt_seq,
+                                  read_config().max_attempts, tl_read_stats(),
+                                  f))
+            return;
         std::shared_lock lk(s.mutex);
         ROMULUS_RACE_ACQUIRE(&s.mutex, "undo.read_lock");
         ROMULUS_RACE_SCOPED_RELEASE(&s.mutex, "undo.read_unlock");
@@ -449,53 +454,6 @@ class UndoLogPTM {
             if (on) s.fp_gate.read_unlock(t);
         }
     };
-
-    /// Mirror of RomulusEngine::try_optimistic_read over the single global
-    /// heap: bounded validated attempts at running `f` with no lock traffic
-    /// and no fences; false sends the caller to the shared mutex.
-    template <typename F>
-    static bool try_optimistic_read(F& f) {
-        ReadStats& rs = tl_read_stats();
-        unsigned spins = 0;
-        for (unsigned left = read_config().max_attempts; left > 0; --left) {
-            const uint64_t sq = s.seq.read_begin();
-            if (sq & 1) {  // a writer is inside its window right now
-                rs.opt_aborts++;
-                sync::spin_wait(spins);
-                continue;
-            }
-            tl.opt_active = true;
-            tl.opt_seq = sq;
-            ROMULUS_RACE_TX_BEGIN("read-tx(opt)");
-            bool valid;
-            try {
-                f();
-                valid = s.seq.validate(sq);  // covers raw byte reads in f
-            } catch (const sync::OptimisticAbort&) {
-                valid = false;
-            } catch (...) {
-                tl.opt_active = false;
-                ROMULUS_RACE_TX_END();
-                if (s.seq.validate(sq)) {
-                    rs.opt_exception_exits++;
-                    throw;  // genuine user exception off a valid snapshot
-                }
-                rs.opt_aborts++;
-                sync::spin_wait(spins);
-                continue;
-            }
-            tl.opt_active = false;
-            ROMULUS_RACE_TX_END();
-            if (valid) {
-                rs.opt_commits++;
-                return true;
-            }
-            rs.opt_aborts++;
-            sync::spin_wait(spins);
-        }
-        rs.fallbacks++;
-        return false;
-    }
 
     // --- speculative update fast path (DESIGN.md §4.11) --------------------
     //

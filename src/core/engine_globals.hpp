@@ -46,10 +46,13 @@ struct ReadConfig {
     /// closures that accumulate into captured state must be made
     /// restartable or opt out here (docs/API.md).
     bool optimistic = true;
-    /// Optimistic attempts (including the first) before a readTx gives up
-    /// and falls back to the reader lock.  Bounded, so a reader never
-    /// starves behind a stream of writers: the fallback inherits C-RW-WP's
-    /// starvation freedom.
+    /// Closure runs a writer may invalidate mid-flight before a readTx
+    /// gives up and falls back to the reader lock.  A writer window that is
+    /// open when a run would start is waited out and spends no attempt:
+    /// C-RW-WP gives writers preference, so a reader waits out writers on
+    /// either path, and the odd window is shorter than the lock hold.  The
+    /// bound only stops a reader from livelocking on runs that keep
+    /// straddling a window.
     unsigned max_attempts = 4;
 };
 ReadConfig& read_config();
@@ -111,7 +114,8 @@ std::string apply_env_tuning();
 /// so the read fast path never touches a shared cache line.
 struct ReadStats {
     uint64_t opt_commits = 0;  ///< readTx completed on the fast path
-    uint64_t opt_aborts = 0;   ///< attempts invalidated by a writer (retried)
+    uint64_t opt_waits = 0;    ///< writer windows waited out before a run
+    uint64_t opt_aborts = 0;   ///< runs invalidated by a writer mid-flight
     uint64_t fallbacks = 0;    ///< readTx that took the pessimistic lock
     /// Read closures that exited via a user exception off a still-valid
     /// snapshot (the exception propagates; not counted as a commit).

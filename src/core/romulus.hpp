@@ -330,17 +330,18 @@ class RomulusEngine {
         if constexpr (Traits::kUseLog) {
             sh.log.begin_tx(full_copy_threshold(sh));
         }
-        if constexpr (!Traits::kUseLR) {
-            // Open the optimistic-read window (seq -> odd) before the first
-            // in-place mutation of main can become visible (§4.9).  The
-            // detector-side acquire joins previous readers' validate
-            // releases, ordering their reads before this writer's stores.
-            sh.seq.write_enter();
-            ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
-        }
         store_state(sh, MUT);
         pmem::pwb(&sh.hdr->state);
         pmem::pfence();
+        if constexpr (!Traits::kUseLR) {
+            // Open the optimistic-read window (seq -> odd) only now, right
+            // before the first in-place mutation of main (§4.9): readers
+            // never read the state word, so its store and persist need no
+            // cover.  The detector-side acquire joins previous readers'
+            // validate releases, ordering their reads before our stores.
+            sh.seq.write_enter();
+            ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
+        }
     }
 
     static void end_transaction() {
@@ -537,13 +538,16 @@ class RomulusEngine {
         } else {
             // Seqlock fast path (§4.9): run the closure directly on main
             // with no lock traffic, no read-indicator arrival and no fences,
-            // validated against the shard's sequence word.  Falls back to
-            // the C-RW-WP reader lock after max_attempts, so progress is
-            // never worse than the pessimistic path.
+            // validated against the shard's sequence word.  A writer's odd
+            // window is waited out in place — the reader lock would wait
+            // out the same writer, for longer — and only max_attempts
+            // invalidated runs send the reader to the C-RW-WP reader lock.
             if (read_config().optimistic) {
                 bool committed;
                 try {
-                    committed = try_optimistic_read(sh, f);
+                    committed = sync::optimistic_read(
+                        sh.seq, tl.opt_active, tl.opt_seq,
+                        read_config().max_attempts, tl_read_stats(), f);
                 } catch (...) {
                     // Genuine user exception off a valid snapshot: the
                     // attempt already closed its race-tx scope; clear the
@@ -1099,65 +1103,6 @@ class RomulusEngine {
         pmem::psync();
     }
 
-    // --- optimistic read path (§4.9) ---------------------------------------
-
-    /// One-or-more seqlock-validated attempts at running `f` directly on
-    /// main.  Returns true when an attempt committed (or `f` threw a genuine
-    /// user exception off a still-valid snapshot — rethrown).  Returns false
-    /// when every attempt was invalidated by a concurrent writer: the caller
-    /// falls back to the pessimistic reader lock.  `f` may run multiple
-    /// times, so read closures must be restartable (docs/API.md).
-    template <typename F>
-    static bool try_optimistic_read(Shard& sh, F& f) {
-        ReadStats& rs = tl_read_stats();
-        unsigned spins = 0;
-        for (unsigned left = read_config().max_attempts; left > 0; --left) {
-            const uint64_t sq = sh.seq.read_begin();
-            if (sq & 1) {  // a writer is inside its window right now
-                rs.opt_aborts++;
-                sync::spin_wait(spins);
-                continue;
-            }
-            tl.opt_active = true;
-            tl.opt_seq = sq;
-            ROMULUS_RACE_TX_BEGIN("read-tx(opt)");
-            bool valid;
-            try {
-                f();
-                // Final check: interposed loads were validated one by one in
-                // pload(); this covers raw byte reads the closure did on its
-                // own (payload memcpy, string materialisation).
-                valid = sh.seq.validate(sq);
-            } catch (const sync::OptimisticAbort&) {
-                valid = false;
-            } catch (...) {
-                tl.opt_active = false;
-                ROMULUS_RACE_TX_END();
-                if (sh.seq.validate(sq)) {
-                    // Genuine user exception off a consistent snapshot.
-                    rs.opt_exception_exits++;
-                    throw;
-                }
-                // The snapshot died mid-closure, so the exception may be an
-                // artifact of torn raw reads: retry instead of surfacing a
-                // phantom.
-                rs.opt_aborts++;
-                sync::spin_wait(spins);
-                continue;
-            }
-            tl.opt_active = false;
-            ROMULUS_RACE_TX_END();
-            if (valid) {
-                rs.opt_commits++;
-                return true;
-            }
-            rs.opt_aborts++;
-            sync::spin_wait(spins);
-        }
-        rs.fallbacks++;
-        return false;
-    }
-
     // --- speculative update fast path (§4.11) ------------------------------
     //
     // Protocol (C-RW-WP variants only; RomulusLR keeps its Left-Right path):
@@ -1175,9 +1120,10 @@ class RomulusEngine {
     //   3. Commit: try-acquire the write set's stripes in canonical
     //      (sorted) order, validate captured-line versions and the read
     //      set, advance the shard's fast-path clock to wv, then apply
-    //      durably under fp_gate: MUT -> per-line store+pwb -> pfence ->
-    //      CPY -> psync (durability point) -> seqlock reopen -> replicate
-    //      touched runs to back -> pfence -> IDL.  Release stripes at wv.
+    //      durably under fp_gate: MUT -> pfence -> seqlock odd -> per-line
+    //      store+pwb -> pfence -> CPY -> psync (durability point) ->
+    //      seqlock even -> replicate touched runs to back -> pfence -> IDL.
+    //      Release stripes at wv.
     //
     // A torn fast-path commit is all-or-nothing through the unchanged
     // twin-state recovery: a crash in MUT rolls the whole write set back
@@ -1321,11 +1267,13 @@ class RomulusEngine {
         FpTx& fp = tl_fp();
         sh.fp_gate.write_lock();
         tx_begin_hook();
-        sh.seq.write_enter();
-        ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
         store_state(sh, MUT);
         pmem::pwb(&sh.hdr->state);
         pmem::pfence();
+        // The window covers the in-place apply through the CPY psync only,
+        // as on the slow path (§4.9).
+        sh.seq.write_enter();
+        ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
         for (unsigned i = 0; i < fp.nw; ++i) {
             const auto& wl = fp.wlines[i];
             uint8_t* dst = sh.main + wl.line_off;

@@ -23,6 +23,16 @@
 // final validation at closure exit: they can observe torn bytes mid-run,
 // but the transaction then retries/falls back instead of returning them.
 //
+// Waiting discipline (optimistic_read below): a reader that finds the word
+// odd waits it out on the word itself rather than spending an attempt.
+// C-RW-WP gives writers preference, so the pessimistic path would wait out
+// the same writer anyway, and for longer: the writer lock and the fast-path
+// gate are held across the whole commit, the odd window only across the
+// in-place mutation up to the CPY psync.  Attempts are spent only on
+// closure runs a writer invalidated mid-flight — the one case where
+// retrying can livelock — and max_attempts of those send the reader to the
+// lock.
+//
 // Memory ordering:
 //   * write_enter stores the odd value and then issues a seq_cst fence so
 //     the odd word is globally visible before any subsequent (plain) store
@@ -40,6 +50,9 @@
 
 #include <atomic>
 #include <cstdint>
+
+#include "analysis/race_hooks.hpp"
+#include "sync/spinlock.hpp"
 
 namespace romulus::sync {
 
@@ -95,5 +108,64 @@ class alignas(64) SeqLock {
 };
 
 static_assert(sizeof(SeqLock) == 64, "one cache line, no false sharing");
+
+/// The optimistic read loop every seqlock engine shares: run `f` on the
+/// live data, validated against `seq`, until a run commits.  The engine's
+/// only hook is its thread-local (`active`, `snap`) pair, which its pload
+/// consults to validate each load against the run's snapshot.  An odd word
+/// is waited out (`Stats::opt_waits`) without spending an attempt; each
+/// invalidated run spends one (`opt_aborts`).  Returns true when a run
+/// committed, rethrows a user exception raised off a still-valid snapshot,
+/// and returns false after `max_attempts` invalidated runs (`fallbacks`):
+/// the caller then takes its pessimistic reader lock.  `f` may run several
+/// times, so read closures must be restartable (docs/API.md).
+template <typename Stats, typename F>
+bool optimistic_read(const SeqLock& seq, bool& active, uint64_t& snap,
+                     unsigned max_attempts, Stats& rs, F& f) {
+    unsigned spins = 0;
+    for (unsigned left = max_attempts; left > 0; --left) {
+        uint64_t sq = seq.read_begin();
+        if (sq & 1) {  // a writer is inside its window: wait it out
+            rs.opt_waits++;
+            unsigned wait_spins = 0;
+            do {
+                spin_wait(wait_spins);
+                sq = seq.read_begin();
+            } while (sq & 1);
+        }
+        active = true;
+        snap = sq;
+        ROMULUS_RACE_TX_BEGIN("read-tx(opt)");
+        bool valid = false;
+        try {
+            f();
+            // Final check: interposed loads were validated one by one in
+            // pload(); this covers raw byte reads the closure did on its own
+            // (payload memcpy, string materialisation).
+            valid = seq.validate(sq);
+        } catch (const OptimisticAbort&) {
+        } catch (...) {
+            if (seq.validate(sq)) {
+                active = false;
+                ROMULUS_RACE_TX_END();
+                rs.opt_exception_exits++;
+                throw;  // genuine user exception off a consistent snapshot
+            }
+            // The snapshot died mid-closure, so the exception may be an
+            // artifact of torn raw reads: retry instead of surfacing a
+            // phantom.
+        }
+        active = false;
+        ROMULUS_RACE_TX_END();
+        if (valid) {
+            rs.opt_commits++;
+            return true;
+        }
+        rs.opt_aborts++;
+        spin_wait(spins);
+    }
+    rs.fallbacks++;
+    return false;
+}
 
 }  // namespace romulus::sync

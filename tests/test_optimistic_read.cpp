@@ -5,10 +5,11 @@
 //      persistence fences (engine counters AND the SimPersistence fence
 //      counter) and no lock traffic observable through the read stats.
 //   2. Protocol mechanics, made deterministic through the engines'
-//      seq_for_tests() hook: an odd window sends the reader to the
-//      pessimistic lock after max_attempts; a mid-closure invalidation
-//      retries; a torn pointer is rejected by per-load validation *before*
-//      anything dereferences it.
+//      seq_for_tests() hook: an odd window is waited out without spending
+//      an attempt; a mid-closure invalidation retries, and max_attempts of
+//      them send the reader to the pessimistic lock; a torn pointer is
+//      rejected by per-load validation *before* anything dereferences it;
+//      the writer's window opens only after the MUT state is persistent.
 //   3. Concurrency: reader/writer churn must never surface a torn snapshot,
 //      and the every-fence crash sweep re-runs the commit-path crash
 //      discipline with a concurrent optimistic reader attached.
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -128,6 +130,7 @@ TYPED_TEST(OptimisticRead, CommitsWithZeroFencesAndZeroPwbs) {
     EXPECT_EQ(sim.fence_count(), fences_before);
     const ReadStats& rs = tl_read_stats();
     EXPECT_EQ(rs.opt_commits, uint64_t(kReads));
+    EXPECT_EQ(rs.opt_waits, 0u);
     EXPECT_EQ(rs.opt_aborts, 0u);
     EXPECT_EQ(rs.fallbacks, 0u);
 }
@@ -152,30 +155,55 @@ TYPED_TEST(OptimisticRead, ForcePessimisticKnobDisablesTheFastPath) {
 
 // ------------------------------------------------- deterministic protocol
 
-TYPED_TEST(OptimisticRead, OddWindowFallsBackToThePessimisticLock) {
+/// Closes a planted writer window from a helper thread: once `go` is set,
+/// sleep about 1 ms (the reader must be parked on the odd word by then),
+/// run `repair` and close the window.  Models a writer finishing its
+/// in-place mutation while the reader waits.
+template <typename E>
+struct WindowCloser {
+    std::atomic<bool> go{false};
+    std::thread th;
+
+    template <typename Repair>
+    explicit WindowCloser(Repair repair)
+        : th([this, repair] {
+              while (!go.load(std::memory_order_acquire))
+                  std::this_thread::yield();
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              repair();
+              E::seq_for_tests().write_exit();
+          }) {}
+    ~WindowCloser() {
+        go.store(true, std::memory_order_release);  // never strand the thread
+        th.join();
+    }
+};
+
+TYPED_TEST(OptimisticRead, OddWindowIsWaitedOutWithoutFallingBack) {
     using E = TypeParam;
     test::EngineSession<E> session(16u << 20, "opt_odd");
     TwoCells<E> cells;
     cells.create(42);
 
     ReadConfigGuard guard;
-    read_config().max_attempts = 3;
-    // Simulate a writer parked mid-transaction: window open, lock free (so
-    // the fallback acquires immediately instead of deadlocking the test).
+    read_config().max_attempts = 1;  // a wait must not spend the only attempt
+    // A writer parked inside its window; a helper thread closes it.
     E::seq_for_tests().write_enter();
+    WindowCloser<E> closer([] {});
     reset_tl_read_stats();
     uint64_t got = 0;
+    closer.go.store(true, std::memory_order_release);
     E::readTx([&] {
         got = 0;  // restartable
         got = cells.c1->pload();
     });
-    E::seq_for_tests().write_exit();
 
     EXPECT_EQ(got, 42u);
     const ReadStats& rs = tl_read_stats();
-    EXPECT_EQ(rs.opt_aborts, 3u);  // every attempt saw the odd word
-    EXPECT_EQ(rs.fallbacks, 1u);
-    EXPECT_EQ(rs.opt_commits, 0u);
+    EXPECT_EQ(rs.opt_waits, 1u);
+    EXPECT_EQ(rs.opt_commits, 1u);
+    EXPECT_EQ(rs.opt_aborts, 0u);
+    EXPECT_EQ(rs.fallbacks, 0u);
 }
 
 TYPED_TEST(OptimisticRead, MidClosureInvalidationRetriesAndCommits) {
@@ -204,6 +232,37 @@ TYPED_TEST(OptimisticRead, MidClosureInvalidationRetriesAndCommits) {
     EXPECT_EQ(rs.opt_aborts, 1u);
     EXPECT_EQ(rs.opt_commits, 1u);
     EXPECT_EQ(rs.fallbacks, 0u);
+}
+
+TYPED_TEST(OptimisticRead, MaxAttemptsInvalidatedRunsEndInOneFallback) {
+    using E = TypeParam;
+    test::EngineSession<E> session(16u << 20, "opt_livelock");
+    TwoCells<E> cells;
+    cells.create(8);
+
+    ReadConfigGuard guard;
+    read_config().max_attempts = 3;
+    reset_tl_read_stats();
+    int runs = 0;
+    uint64_t got = 0;
+    E::readTx([&] {
+        got = 0;  // restartable
+        ++runs;
+        // A full writer window opens and closes inside every run, so every
+        // optimistic run is invalidated at its first validated load (the
+        // pessimistic rerun holds the reader lock and is unaffected).
+        E::seq_for_tests().write_enter();
+        E::seq_for_tests().write_exit();
+        got = cells.c1->pload();
+    });
+
+    EXPECT_EQ(got, 8u);
+    EXPECT_EQ(runs, 4);  // three invalidated runs + the pessimistic one
+    const ReadStats& rs = tl_read_stats();
+    EXPECT_EQ(rs.opt_aborts, 3u);
+    EXPECT_EQ(rs.fallbacks, 1u);
+    EXPECT_EQ(rs.opt_commits, 0u);
+    EXPECT_EQ(rs.opt_waits, 0u);  // every run started on a closed window
 }
 
 TYPED_TEST(OptimisticRead, UserExceptionOffValidSnapshotLeavesNoResidue) {
@@ -257,41 +316,122 @@ TYPED_TEST(OptimisticRead, TornPointerIsRejectedBeforeDereference) {
     read_config().max_attempts = 3;
     reset_tl_read_stats();
 
-    // The classic seqlock hazard, staged deterministically: mid-attempt the
+    // The classic seqlock hazard, staged deterministically: mid-run the
     // pointer cell is scribbled with garbage under an open window.  The
     // per-load validation in pload() must throw before the garbage pointer
     // can reach the dereference below — if it ever leaks out, the test
-    // crashes on the bogus address.
+    // crashes on the bogus address.  The parked "writer" then rolls back on
+    // a helper thread while the reader waits out its window.
     auto* raw = reinterpret_cast<uint64_t*>(cell);
     const uint64_t good_bits = *raw;
-    bool scribbled = false;
+    WindowCloser<E> closer([raw, good_bits] { *raw = good_bits; });
     bool first = true;
     uint64_t got = 0;
     E::readTx([&] {
         got = 0;  // restartable
-        if (scribbled) {
-            // Pessimistic rerun after the fallback: undo the sabotage (the
-            // parked "writer" rolls back) so the real pointer is live again.
-            *raw = good_bits;
-            E::seq_for_tests().write_exit();
-            scribbled = false;
-        } else if (first) {
+        if (first) {
             first = false;
-            scribbled = true;
             E::seq_for_tests().write_enter();
             *raw = 0xDEADBEEFDEADBEEFull;
+            closer.go.store(true, std::memory_order_release);
         }
-        PU* p = cell->pload();  // throws OptimisticAbort on the torn attempt
+        PU* p = cell->pload();  // throws OptimisticAbort on the torn run
         got = p->pload();
     });
 
     EXPECT_EQ(got, 99u);
     const ReadStats& rs = tl_read_stats();
-    // Attempt 1 aborted mid-closure on the torn load; attempts 2 and 3 saw
-    // the still-odd word; then the pessimistic rerun repaired and committed.
-    EXPECT_EQ(rs.opt_aborts, 3u);
-    EXPECT_EQ(rs.fallbacks, 1u);
-    EXPECT_EQ(rs.opt_commits, 0u);
+    // Run 1 aborted mid-closure on the torn load; the reader then waited
+    // out the still-open window and run 2 committed the repaired pointer.
+    EXPECT_EQ(rs.opt_aborts, 1u);
+    EXPECT_EQ(rs.opt_waits, 1u);
+    EXPECT_EQ(rs.opt_commits, 1u);
+    EXPECT_EQ(rs.fallbacks, 0u);
+}
+
+// ------------------------------------------------------ window placement
+//
+// The writer's odd window must open only after the MUT state word is
+// persistent (readers never read it) and before the first in-place store
+// to main.  A SimHooks observer samples the shard's seq word at each edge.
+
+struct WindowProbe : pmem::SimHooks {
+    const sync::SeqLock* seq = nullptr;
+    const uint8_t* main_lo = nullptr;
+    const uint8_t* main_hi = nullptr;
+    bool pending_mut_pwb = false;
+    bool in_mut = false;
+    int mut_transitions = 0;
+    int odd_at_mut = 0;       // MUT stored with the window already open
+    int odd_at_mut_pwb = 0;   // MUT written back with the window already open
+    int main_stores = 0;      // stores to main while in MUT
+    int even_main_stores = 0; // ... with the window closed
+
+    bool odd() const { return (seq->value() & 1) != 0; }
+    void on_store(const void* addr, size_t) override {
+        const auto* p = static_cast<const uint8_t*>(addr);
+        if (!in_mut || p < main_lo || p >= main_hi) return;
+        ++main_stores;
+        if (!odd()) ++even_main_stores;
+    }
+    void on_pwb(const void*) override {
+        if (!pending_mut_pwb) return;
+        pending_mut_pwb = false;  // the state word's own write-back
+        if (odd()) ++odd_at_mut_pwb;
+    }
+    void on_fence() override {}
+    void on_state_transition(uint32_t st) override {
+        in_mut = st == uint32_t(MUT);
+        if (!in_mut) return;
+        ++mut_transitions;
+        pending_mut_pwb = true;
+        if (odd()) ++odd_at_mut;
+    }
+};
+
+template <typename E>
+class WindowPlacement : public ::testing::Test {
+  protected:
+    void SetUp() override { pmem::set_profile(pmem::Profile::NOP); }
+    void TearDown() override { pmem::set_sim_hooks(nullptr); }
+
+    void check(bool fastpath) {
+        test::EngineSession<E> session(16u << 20, "opt_window");
+        TwoCells<E> cells;
+        cells.create(1);
+        test::UpdateConfigGuard ucg;
+        update_config().fastpath = fastpath;
+
+        WindowProbe probe;
+        probe.seq = &E::seq_for_tests();
+        probe.main_lo = E::main_base();
+        probe.main_hi = E::main_base() + E::main_size();
+        const uint64_t fp0 = pmem::tl_commit_stats().fastpath_commits;
+        pmem::set_sim_hooks(&probe);
+        cells.set(2);
+        pmem::set_sim_hooks(nullptr);
+
+        EXPECT_EQ(pmem::tl_commit_stats().fastpath_commits - fp0,
+                  fastpath ? 1u : 0u);
+        EXPECT_EQ(probe.mut_transitions, 1);
+        EXPECT_EQ(probe.odd_at_mut, 0);
+        EXPECT_FALSE(probe.pending_mut_pwb);
+        EXPECT_EQ(probe.odd_at_mut_pwb, 0);
+        EXPECT_GE(probe.main_stores, 1);  // the cells, in place
+        EXPECT_EQ(probe.even_main_stores, 0);
+        EXPECT_EQ(E::seq_for_tests().value() & 1, 0u);
+    }
+};
+
+using CrwwpRomulusPtms = ::testing::Types<RomulusNL, RomulusLog>;
+TYPED_TEST_SUITE(WindowPlacement, CrwwpRomulusPtms);
+
+TYPED_TEST(WindowPlacement, SlowPathOpensAfterTheMutPersist) {
+    this->check(/*fastpath=*/false);
+}
+
+TYPED_TEST(WindowPlacement, FastPathOpensAfterTheMutPersist) {
+    this->check(/*fastpath=*/true);
 }
 
 // ------------------------------------------------------------ churn check
@@ -550,7 +690,6 @@ class OptimisticReadCrash : public ::testing::Test {
     void TearDown() override { pmem::set_sim_hooks(nullptr); }
 };
 
-using CrwwpRomulusPtms = ::testing::Types<RomulusNL, RomulusLog>;
 TYPED_TEST_SUITE(OptimisticReadCrash, CrwwpRomulusPtms);
 
 TYPED_TEST(OptimisticReadCrash, EveryFenceCrashWithConcurrentReaders) {
