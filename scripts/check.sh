@@ -20,11 +20,13 @@
 #   fuzz      romfuzz leg (docs/romfuzz.md): seeded randomized histories
 #             over all five engines x {1,4} shards, every enumerated crash
 #             image recovered and model-checked, plus fork-and-crash
-#             episodes.  Fixed seed and bounded budgets keep it
-#             deterministic and fast; nightly runs raise the budget via
-#             ROMFUZZ_ITERS / ROMFUZZ_CRASHES.  Repro bundles from any
-#             failure land in build/check/fuzz/romfuzz-bundles/ (CI uploads
-#             them as artifacts).
+#             episodes, then the same with the stripe fast path pinned on
+#             and with values up to 2 KB (streamed payloads).  Fixed seeds
+#             and bounded budgets keep it deterministic and fast; nightly
+#             runs raise the budget via ROMFUZZ_ITERS / ROMFUZZ_CRASHES.
+#             Repro bundles from any failure land in
+#             build/check/fuzz/romfuzz-bundles*/ (CI uploads them as
+#             artifacts).
 #
 # Each leg uses its own build directory (build/check/<leg>) so the matrix
 # never dirties the developer's ./build tree — and everything it writes
@@ -129,6 +131,14 @@ run_leg() {
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-2}" \
             --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
             --out "$bundles-fastpath"
+        # Third pass with values up to 2 KB: the default draws stay under
+        # the 256 B streaming threshold, so only this pass puts payloads
+        # whose whole lines stream into main (DESIGN.md §4.6) through the
+        # model-checked crash images.
+        "$dir/tools/romfuzz" --engine all --shards 1,4 --value-max 2048 \
+            --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-3}" \
+            --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
+            --out "$bundles-large"
         ;;
     *)
         echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz)" >&2

@@ -81,8 +81,11 @@ class PAllocator {
     }
 
     /// Enable/disable the small-object quick cache (volatile policy knob;
-    /// the persistent layout always reserves the quick bins).  Used by the
-    /// allocator ablation bench.
+    /// the persistent layout always reserves the quick bins).  On by
+    /// default: without it a small key or node request whose own bin is
+    /// empty splits a freed large value chunk, and the remainder is too
+    /// small for the next large value, which then comes from the
+    /// wilderness.  The allocator ablation bench A/Bs it.
     void set_quick_cache(bool on) { quick_enabled_ = on; }
     bool quick_cache_enabled() const { return quick_enabled_; }
 
@@ -415,7 +418,7 @@ class PAllocator {
     Meta* meta_ = nullptr;
     uint8_t* pool_ = nullptr;
     size_t pool_size_ = 0;
-    bool quick_enabled_ = false;
+    bool quick_enabled_ = true;
 };
 
 }  // namespace romulus

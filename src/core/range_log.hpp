@@ -14,6 +14,11 @@
 // "full copy" mode — the same behaviour as the basic algorithm, which §6.6
 // shows is actually *preferable* for huge transactions.
 //
+// Whole lines a large store_range payload wrote with non-temporal stores
+// (DESIGN.md §4.6) skip the table: they enter as one *copy-only* run per
+// store, replicated to back at commit but never flushed, since an NT store
+// leaves nothing in the cache to write back.
+//
 // The stripe-locked speculative fast path (DESIGN.md §4.11) never consults
 // this log: its sync::SpecBuffer write set already holds the touched lines
 // deduplicated and sorted, so the fast-path apply coalesces adjacent lines
@@ -65,10 +70,12 @@ class RangeLog {
             epoch_ = 1;
         }
         entries_.clear();
+        copy_only_.clear();
         logged_bytes_ = 0;
         threshold_ = full_copy_threshold;
         full_copy_ = false;
         runs_valid_ = false;
+        copies_valid_ = false;
     }
 
     /// Test hook: place the epoch counter near (or at) the wrap boundary so
@@ -84,10 +91,6 @@ class RangeLog {
         for (size_t line = first; line <= last; ++line) add_line(line);
     }
 
-    bool full_copy() const { return full_copy_; }
-    const std::vector<Entry>& entries() const { return entries_; }
-    size_t logged_bytes() const { return logged_bytes_; }
-
     /// A maximal coalesced byte range (64-bit length: adjacent lines can
     /// merge into runs far larger than any single Entry).
     struct Run {
@@ -95,38 +98,76 @@ class RangeLog {
         uint64_t len;
     };
 
-    /// Maximal coalesced [off, off+len) runs: the per-line entries sorted by
-    /// offset with adjacent (and, defensively, overlapping) lines merged.
-    /// Computed once per transaction on first use and cached — commit
-    /// consumes it twice (flush of main, replication to back), so a 10 KB
-    /// sequential write costs one sort instead of 2×160 entry walks, and the
-    /// flush/copy loops run per run instead of per 64 B line.  Meaningless
-    /// in full-copy mode (commit must not consult the log then).
+    /// Record whole lines [off, off+len) (both line-aligned) that were
+    /// written with non-temporal stores: replicated by commit (copy_runs())
+    /// but never flushed (merged_runs()).  One run per call, not one table
+    /// slot per line.  A later add() of a line inside the run still logs
+    /// that line for the flush, so a cached store after the streamed one
+    /// gets its pwb.
+    void add_copy_only(size_t off, size_t len) {
+        if (full_copy_ || len == 0) return;
+        copy_only_.push_back(Run{off, len});
+        copies_valid_ = false;
+        logged_bytes_ += len;
+        if (logged_bytes_ > threshold_) full_copy_ = true;
+    }
+
+    bool full_copy() const { return full_copy_; }
+    const std::vector<Entry>& entries() const { return entries_; }
+    const std::vector<Run>& copy_only_runs() const { return copy_only_; }
+    size_t logged_bytes() const { return logged_bytes_; }
+
+    /// Maximal coalesced [off, off+len) runs of the lines commit must flush:
+    /// the per-line entries sorted by offset with adjacent (and,
+    /// defensively, overlapping) lines merged.  Computed once per
+    /// transaction on first use and cached — commit consumes it twice
+    /// (flush of main, and through copy_runs() replication to back), so a
+    /// 10 KB sequential write costs one sort instead of 2×160 entry walks,
+    /// and the flush/copy loops run per run instead of per 64 B line.
+    /// Meaningless in full-copy mode (commit must not consult the log then).
     const std::vector<Run>& merged_runs() {
         if (!runs_valid_) {
             runs_.clear();
             runs_.reserve(entries_.size());
-            scratch_ = entries_;
-            std::sort(
-                scratch_.begin(), scratch_.end(),
-                [](const Entry& a, const Entry& b) { return a.off < b.off; });
-            for (const Entry& e : scratch_) {
-                if (!runs_.empty() &&
-                    e.off <= runs_.back().off + runs_.back().len) {
-                    const uint64_t end = e.off + e.len;
-                    const uint64_t back_end =
-                        runs_.back().off + runs_.back().len;
-                    if (end > back_end) runs_.back().len = end - runs_.back().off;
-                } else {
-                    runs_.push_back(Run{e.off, e.len});
-                }
-            }
+            for (const Entry& e : entries_) runs_.push_back(Run{e.off, e.len});
+            coalesce(runs_);
             runs_valid_ = true;
         }
         return runs_;
     }
 
+    /// Maximal coalesced runs of the lines commit must replicate to back:
+    /// merged_runs() plus the copy-only runs.  Same caching and full-copy
+    /// caveat as merged_runs(); without copy-only runs it *is* merged_runs().
+    const std::vector<Run>& copy_runs() {
+        if (copy_only_.empty()) return merged_runs();
+        if (!copies_valid_) {
+            copies_ = merged_runs();
+            copies_.insert(copies_.end(), copy_only_.begin(), copy_only_.end());
+            coalesce(copies_);
+            copies_valid_ = true;
+        }
+        return copies_;
+    }
+
   private:
+    /// Sort by offset and merge adjacent or overlapping runs in place.
+    static void coalesce(std::vector<Run>& v) {
+        std::sort(v.begin(), v.end(),
+                  [](const Run& a, const Run& b) { return a.off < b.off; });
+        size_t out = 0;
+        for (const Run& r : v) {
+            if (out > 0 && r.off <= v[out - 1].off + v[out - 1].len) {
+                Run& last = v[out - 1];
+                const uint64_t end = std::max(last.off + last.len, r.off + r.len);
+                last.len = end - last.off;
+            } else {
+                v[out++] = r;
+            }
+        }
+        v.resize(out);
+    }
+
     void add_line(size_t line) {
         size_t h = (line * 0x9E3779B97F4A7C15ull) & mask_;
         for (size_t probe = 0; probe <= kMaxProbe; ++probe) {
@@ -140,6 +181,7 @@ class RangeLog {
             entries_.push_back(Entry{line * pmem::kCacheLineSize,
                                      static_cast<uint32_t>(pmem::kCacheLineSize)});
             runs_valid_ = false;
+            copies_valid_ = false;
             logged_bytes_ += pmem::kCacheLineSize;
             if (logged_bytes_ > threshold_) full_copy_ = true;
             return;
@@ -154,12 +196,14 @@ class RangeLog {
     std::vector<uint32_t> epochs_;
     uint32_t epoch_ = 0;
     std::vector<Entry> entries_;
-    std::vector<Entry> scratch_;  // sort workspace (capacity reused)
+    std::vector<Run> copy_only_;  // streamed runs: replicated, not flushed
     std::vector<Run> runs_;       // cached merged_runs() result
+    std::vector<Run> copies_;     // cached copy_runs() result
     size_t logged_bytes_ = 0;
     size_t threshold_ = ~size_t{0};
     bool full_copy_ = false;
     bool runs_valid_ = false;
+    bool copies_valid_ = false;
 };
 
 }  // namespace romulus

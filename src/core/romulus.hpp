@@ -245,6 +245,8 @@ class RomulusEngine {
     }
 
     /// Bulk transactional store (used for byte payloads, e.g. DB values).
+    /// Inside an update transaction, a payload whose whole lines reach
+    /// CommitConfig::nt_threshold streams them into main (stream_range).
     static void store_range(void* dst, const void* src, size_t n) {
         if constexpr (!Traits::kUseLR) {
             if (tl.fp_active) {
@@ -252,6 +254,7 @@ class RomulusEngine {
                 return;
             }
         }
+        if (tl.tx_depth > 0 && stream_range(dst, src, n)) return;
         std::memcpy(dst, src, n);
         ROMULUS_RACE_WRITE(dst, n);
         range_written(dst, n);
@@ -989,6 +992,7 @@ class RomulusEngine {
     }
 
     static void range_written(void* dst, size_t n) {
+        if (n == 0) return;
         Shard* sh = owning_shard_main(dst);
         if (sh == nullptr) return;
         pmem::on_store(dst, n);
@@ -1000,6 +1004,40 @@ class RomulusEngine {
             }
         }
         pmem::pwb_range(dst, n);
+    }
+
+    /// Streaming payload store (DESIGN.md §4.6): the partial head and tail
+    /// lines of [dst, dst+n) take the cached path like any store, and the
+    /// whole lines between them are written with non-temporal stores
+    /// (persist_copy, whose internal sfence drains them before any later
+    /// state store).  Those lines need no pwb, so the log records them
+    /// copy-only and NL skips its eager write-back.  Returns false, with
+    /// nothing written, when the whole lines fall short of the streaming
+    /// threshold or dst is not in the transaction's shard main.
+    static bool stream_range(void* dst, const void* src, size_t n) {
+        auto* d = static_cast<uint8_t*>(dst);
+        const auto* from = static_cast<const uint8_t*>(src);
+        const auto a = reinterpret_cast<uintptr_t>(d);
+        const uintptr_t lo = (a + pmem::kCacheLineSize - 1) &
+                             ~uintptr_t{pmem::kCacheLineSize - 1};
+        const uintptr_t hi = (a + n) & ~uintptr_t{pmem::kCacheLineSize - 1};
+        if (hi <= lo || !pmem::streams(hi - lo)) return false;
+        Shard& sh = current_shard();
+        if (!in_shard_main(sh, d) || !in_shard_main(sh, d + n - 1))
+            return false;
+        const size_t head = lo - a;
+        const size_t body = hi - lo;
+        std::memcpy(d, from, head);
+        range_written(d, head);
+        pmem::persist_copy(d + head, from + head, body);
+        if constexpr (Traits::kUseLog) {
+            sh.log.add_copy_only(main_offset(sh, d + head), body);
+            pmem::notify_range_logged(d + head, body);
+        }
+        std::memcpy(d + head + body, from + head + body, n - head - body);
+        range_written(d + head + body, n - head - body);
+        ROMULUS_RACE_WRITE(d, n);
+        return true;
     }
 
     /// Write back the shard's used_size header word if a transaction grew it
@@ -1018,13 +1056,14 @@ class RomulusEngine {
         if (pmem::commit_config().coalesce) {
             // One sorted/coalesced pass, shared with copy_main_to_back():
             // each maximal run costs one ranged flush instead of one
-            // dispatched pwb per 64 B entry.
-            const auto& runs = sh.log.merged_runs();
+            // dispatched pwb per 64 B entry.  Copy-only (streamed) lines are
+            // replicated but never flushed.
             auto& cs = pmem::tl_commit_stats();
             cs.commits++;
-            cs.runs += runs.size();
-            cs.lines_logged += sh.log.entries().size();
-            for (const auto& r : runs) pmem::pwb_range(sh.main + r.off, r.len);
+            cs.runs += sh.log.copy_runs().size();
+            cs.lines_logged += sh.log.logged_bytes() / pmem::kCacheLineSize;
+            for (const auto& r : sh.log.merged_runs())
+                pmem::pwb_range(sh.main + r.off, r.len);
         } else {
             for (const auto& e : sh.log.entries())
                 pmem::pwb_range(sh.main + e.off, e.len);
@@ -1043,11 +1082,13 @@ class RomulusEngine {
             if (tl.tx_depth == 0 || sh.log.full_copy()) {
                 copy_range_to_back(sh, 0, sh.hdr->used_size.load());
             } else if (pmem::commit_config().coalesce) {
-                for (const auto& r : sh.log.merged_runs())
+                for (const auto& r : sh.log.copy_runs())
                     copy_range_to_back(sh, r.off, r.len);
             } else {
                 for (const auto& e : sh.log.entries())
                     copy_range_to_back(sh, e.off, e.len);
+                for (const auto& r : sh.log.copy_only_runs())
+                    copy_range_to_back(sh, r.off, r.len);
             }
         } else {
             copy_range_to_back(sh, 0, sh.hdr->used_size.load());

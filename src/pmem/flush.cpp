@@ -251,15 +251,8 @@ void persist_copy(void* dst, const void* src, size_t len) {
     if (len == 0) return;
     uint8_t* d = static_cast<uint8_t*>(dst);
     const uint8_t* s = static_cast<const uint8_t*>(src);
-    bool use_nt = false;
-#ifdef ROMULUS_X86
-    // The delay-emulation profiles (STT/PCM) charge NVM cost per pwb; the
-    // streaming path would make replication artificially free there, so it
-    // is reserved for the real-instruction profiles.
-    use_nt = len >= detail::g_commit_config.nt_threshold &&
-             (reinterpret_cast<uintptr_t>(d) & 15u) == 0 &&
-             detail::g_profile.pwb_delay_ns == 0;
-#endif
+    const bool use_nt =
+        (reinterpret_cast<uintptr_t>(d) & 15u) == 0 && streams(len);
     if (!use_nt) {
         // Cached path: identical to the classic replication sequence.
         std::memcpy(d, s, len);

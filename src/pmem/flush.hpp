@@ -97,10 +97,11 @@ struct CommitConfig {
     /// Consume RangeLog::merged_runs() at commit instead of re-walking the
     /// unsorted per-line entries (flush and replication both).
     bool coalesce = true;
-    /// Minimum length in bytes for a replication run to take the
-    /// non-temporal streaming path of persist_copy(); shorter runs (and
-    /// SIZE_MAX) use cached stores + per-line pwb.  NT stores bypass the
-    /// cache, so tiny hot runs are better left cacheable.
+    /// Minimum length in bytes for a replication run — or for the whole
+    /// lines inside a store_range payload — to take the non-temporal
+    /// streaming path of persist_copy(); shorter runs (and SIZE_MAX) use
+    /// cached stores + per-line pwb.  NT stores bypass the cache, so tiny
+    /// hot runs are better left cacheable.
     size_t nt_threshold = 4 * kCacheLineSize;
     /// Extra flat-combining scans a combiner runs before committing:
     /// operations announced while the previous scan executed join the same
@@ -142,6 +143,23 @@ void nt_copy(void* dst, const void* src, size_t len);
 
 inline CommitConfig& commit_config() { return detail::g_commit_config; }
 
+/// The streaming selection, written once: true when persist_copy() writes a
+/// run of `len` bytes (to a 16-byte-aligned destination) with non-temporal
+/// stores.  That takes x86, a real-instruction flush profile — the STT/PCM
+/// emulation charges NVM cost per pwb, so streaming would make writes
+/// artificially free there — and at least CommitConfig::nt_threshold bytes.
+/// RomulusEngine::store_range keys its head/interior/tail split on the same
+/// test, so nt_threshold = SIZE_MAX turns every streaming path off at once.
+inline bool streams(size_t len) {
+#if defined(__x86_64__) || defined(__i386__)
+    return len >= detail::g_commit_config.nt_threshold &&
+           detail::g_profile.pwb_delay_ns == 0;
+#else
+    (void)len;
+    return false;
+#endif
+}
+
 /// Write back the cache line containing addr.
 inline void pwb(const void* addr) {
     tl_stats().pwb++;
@@ -166,14 +184,16 @@ inline void pwb_range(const void* addr, size_t len) {
     for (; p < end; p += kCacheLineSize) pwb(reinterpret_cast<const void*>(p));
 }
 
-/// Streaming replication: copy [src, src+len) to dst and schedule it for
+/// Streaming copy: copy [src, src+len) to dst and schedule it for
 /// persistence, equivalent to memcpy + on_store + pwb_range but using
-/// non-temporal stores for long runs.  NT stores bypass the cache entirely,
-/// so the per-line pwb disappears; the WC buffers are drained by an sfence
-/// before returning (required: under the CLFLUSH profile the paper-model
-/// pfence is a nop and would not order the streamed data before the
-/// subsequent state write-back).  Like pwb_range, *ordering against later
-/// pwbs/stores* still comes from the caller's pfence()/psync().
+/// non-temporal stores for long runs (see streams()).  Back replication,
+/// recovery and the whole lines of large store_range payloads use it.  NT
+/// stores bypass the cache entirely, so the per-line pwb disappears; the WC
+/// buffers are drained by an sfence before returning (required: under the
+/// CLFLUSH profile the paper-model pfence is a nop and would not order the
+/// streamed data before the subsequent state write-back).  Like pwb_range,
+/// *ordering against later pwbs/stores* still comes from the caller's
+/// pfence()/psync().
 ///
 /// Crash-model soundness: the sim hooks observe each streamed line as a
 /// store immediately followed by a pwb of captured content — exactly the

@@ -13,35 +13,26 @@
 namespace romulus::pmem {
 
 struct Stats {
-    uint64_t pwb = 0;         ///< persist write-backs issued
-    uint64_t pfence = 0;      ///< persist fences issued
-    uint64_t psync = 0;       ///< persist syncs issued
-    uint64_t nvm_bytes = 0;   ///< bytes stored to the persistent region
-    uint64_t user_bytes = 0;  ///< bytes the *user code* asked to store
-    uint64_t tx_aborts = 0;   ///< STM aborts (redo-log baseline only)
+    uint64_t pwb = 0;        ///< persist write-backs issued
+    uint64_t pfence = 0;     ///< persist fences issued
+    uint64_t psync = 0;      ///< persist syncs issued
+    uint64_t nvm_bytes = 0;  ///< bytes stored to the persistent region
+    uint64_t tx_aborts = 0;  ///< STM aborts (redo-log baseline only)
 
     Stats operator-(const Stats& o) const {
         return Stats{pwb - o.pwb, pfence - o.pfence, psync - o.psync,
-                     nvm_bytes - o.nvm_bytes, user_bytes - o.user_bytes,
-                     tx_aborts - o.tx_aborts};
+                     nvm_bytes - o.nvm_bytes, tx_aborts - o.tx_aborts};
     }
     Stats& operator+=(const Stats& o) {
         pwb += o.pwb;
         pfence += o.pfence;
         psync += o.psync;
         nvm_bytes += o.nvm_bytes;
-        user_bytes += o.user_bytes;
         tx_aborts += o.tx_aborts;
         return *this;
     }
     /// Fences per transaction as reported in Table 1.
     uint64_t fences() const { return pfence + psync; }
-    /// Write amplification (§3.1): NVM bytes written per user byte.
-    double write_amplification() const {
-        return user_bytes == 0 ? 0.0
-                               : static_cast<double>(nvm_bytes) /
-                                     static_cast<double>(user_bytes);
-    }
 };
 
 /// This thread's counters.  Counting is always on; the increments are cheap
@@ -53,16 +44,19 @@ void reset_tl_stats();
 
 /// Commit-pipeline instrumentation (one struct per thread, like Stats).
 /// Tracks how the coalesced/streaming commit path actually behaved: how many
-/// per-line log entries were merged into how many maximal runs, and how many
-/// replicated bytes went through the non-temporal streaming path versus the
-/// classic cached-store + per-line-pwb path.  The pwb savings these counters
+/// logged lines were merged into how many maximal runs, and how many bytes
+/// went through the non-temporal streaming path versus the classic
+/// cached-store + per-line-pwb path.  The pwb savings these counters
 /// explain show up in Stats::pwb; this struct says *why*.
 struct CommitStats {
     uint64_t commits = 0;       ///< commits that consumed a merged-run pass
-    uint64_t runs = 0;          ///< coalesced [off,len) runs consumed
-    uint64_t lines_logged = 0;  ///< per-line log entries before merging
-    uint64_t nt_bytes = 0;      ///< replica bytes via non-temporal stores
-    uint64_t cached_bytes = 0;  ///< replica bytes via cached stores + pwb
+    uint64_t runs = 0;          ///< coalesced [off,len) replication runs
+    uint64_t lines_logged = 0;  ///< logged lines before merging (flushed
+                                ///< and copy-only, RangeLog::add_copy_only)
+    /// persist_copy bytes via non-temporal stores: the back replica plus
+    /// the streamed whole lines of large store_range payloads in main.
+    uint64_t nt_bytes = 0;
+    uint64_t cached_bytes = 0;  ///< persist_copy bytes via cached stores + pwb
     /// Write-backs of lines with no prior dirty store — wasted flushes.
     /// Counted offline by romver's static rule pass (GraphAnalysis::
     /// record_in) rather than on the hot path; stays 0 unless an analysis

@@ -305,6 +305,23 @@ inline void spec_store(SpecBuffer& fp, StripeLockTable& stripes, uint8_t* base,
                        uint64_t off, const void* src, size_t n) {
     const uint8_t* from = static_cast<const uint8_t*>(src);
     while (n > 0) {
+        if (fp.aborted && fp.nw >= SpecBuffer::kLineCap) {
+            // Doomed with a full write set: no further line can be captured,
+            // so only the captured lines inside the rest of the range take
+            // bytes.  One pass over them instead of a find() per line keeps a
+            // large payload store linear; read-your-writes is unchanged.
+            const uint64_t end = off + n;
+            for (unsigned i = 0; i < fp.nw; ++i) {
+                SpecBuffer::WLine& wl = fp.wlines[i];
+                const uint64_t lo = std::max(wl.line_off, off);
+                const uint64_t hi =
+                    std::min(wl.line_off + SpecBuffer::kLineSize, end);
+                if (lo < hi)
+                    std::memcpy(wl.data + (lo - wl.line_off), from + (lo - off),
+                                hi - lo);
+            }
+            return;
+        }
         const uint64_t line = off & ~uint64_t{SpecBuffer::kLineSize - 1};
         const size_t take =
             std::min<size_t>(n, line + SpecBuffer::kLineSize - off);

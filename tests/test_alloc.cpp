@@ -65,6 +65,9 @@ TEST_F(AllocTest, PayloadCapacityCoversRequest) {
 }
 
 TEST_F(AllocTest, CoalescingMergesNeighbours) {
+    // Boundary-tag coalescing: with the quick cache on, freed 100 B chunks
+    // would park in their quick list instead of merging.
+    E::allocator().set_quick_cache(false);
     void *a = nullptr, *b = nullptr, *c = nullptr;
     E::updateTx([&] {
         a = E::alloc_bytes(100);

@@ -23,10 +23,7 @@ class QuickCacheTest : public ::testing::Test {
         session_ = std::make_unique<test::EngineSession<E>>(32u << 20, "quick");
         E::allocator().set_quick_cache(true);
     }
-    void TearDown() override {
-        if (E::initialized()) E::allocator().set_quick_cache(false);
-        session_.reset();
-    }
+    void TearDown() override { session_.reset(); }
     test::UpdateConfigGuard update_guard_;
     std::unique_ptr<test::EngineSession<E>> session_;
 };

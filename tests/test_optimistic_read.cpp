@@ -468,6 +468,9 @@ void run_churn(int writer_txs) {
         cells.set(uint64_t(j));
         if (j % 16 == 0) std::this_thread::yield();
     }
+    // On a loaded host the writer can finish before the reader is first
+    // scheduled; let it complete at least one read before stopping it.
+    while (reads.load() == 0) std::this_thread::yield();
     stop.store(true, std::memory_order_release);
     reader.join();
 

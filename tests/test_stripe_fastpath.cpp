@@ -128,6 +128,44 @@ TEST(SpecBuffer, NewerStripeVersionDoomsLoadButStillReadsRaw) {
     EXPECT_EQ(got, 0x5A);  // degraded to a raw (word-atomic) read
 }
 
+TEST(SpecBuffer, LargeStoreIntoFullDoomedWriteSetUpdatesCapturedLines) {
+    static constexpr size_t kHeap = 16384;
+    alignas(64) static uint8_t heap[kHeap];
+    std::memset(heap, 0, kHeap);
+    sync::StripeLockTable t(64);
+    sync::SpecBuffer b;
+    b.begin(/*max_lines=*/8, 64, t.clock_now());
+    // Touch every other line until the write set holds kLineCap lines: the
+    // speculation dooms at line 9 and keeps capturing best-effort to the cap.
+    for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i) {
+        const uint8_t v = 1;
+        sync::spec_store(b, t, heap, uint64_t(i) * 128, &v, 1);
+    }
+    ASSERT_TRUE(b.aborted);
+    ASSERT_EQ(b.nw, sync::SpecBuffer::kLineCap);
+    // An unaligned store across captured and uncapturable lines: the
+    // captured ones take its bytes, the rest are dropped, the heap stays
+    // untouched.
+    std::vector<uint8_t> big(12000);
+    for (size_t i = 0; i < big.size(); ++i) big[i] = uint8_t(i * 7 + 3);
+    const uint64_t at = 40;
+    sync::spec_store(b, t, heap, at, big.data(), big.size());
+    EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
+    for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i) {
+        const uint64_t line = uint64_t(i) * 128;
+        uint8_t got[64];
+        sync::spec_load(b, t, heap, line, got, 64);
+        for (uint64_t o = 0; o < 64; ++o) {
+            const uint64_t addr = line + o;
+            const uint8_t want = addr >= at && addr < at + big.size()
+                                     ? big[addr - at]
+                                     : uint8_t(o == 0 ? 1 : 0);
+            ASSERT_EQ(got[o], want) << "line " << i << " byte " << o;
+        }
+    }
+    for (size_t i = 0; i < kHeap; ++i) ASSERT_EQ(heap[i], 0u) << i;
+}
+
 TEST(SpecBuffer, ScratchAllocReturnsAlignedDistinctBlocks) {
     sync::SpecBuffer b;
     b.begin(8, 64, 0);
@@ -266,6 +304,49 @@ TYPED_TEST(StripeFastPath, FootprintOverflowFallsBackAndLandsEveryStore) {
         for (int i = 0; i < 16; ++i) sum += arr[i * 8].pload();
     });
     EXPECT_EQ(sum, 136u);  // 1 + 2 + ... + 16
+}
+
+// A doomed speculation whose write set is already full still buffers a
+// 100 KB store into the lines it captured (read-your-writes), then re-runs
+// on the slow path to the right value.
+TYPED_TEST(StripeFastPath, LargeStoreAfterFullWriteSetReadsItsOwnBytes) {
+    using E = TypeParam;
+    using PU = typename E::template p<uint64_t>;
+    constexpr size_t kBig = 100000;
+    uint8_t* big = nullptr;
+    E::updateTx([&] {
+        big = static_cast<uint8_t*>(E::alloc_bytes(kBig));
+        E::zero_range(big, kBig);
+    });
+    std::vector<uint8_t> pat(kBig);
+    for (size_t i = 0; i < kBig; ++i) pat[i] = uint8_t(i * 29 + 11);
+    // Word-aligned slot inside each of the first kLineCap lines of big.
+    auto slot = [&](unsigned i) {
+        return reinterpret_cast<PU*>(big + 8 + size_t(i) * 64);
+    };
+    uint64_t want;
+    std::memcpy(&want, pat.data() + 8 + 5 * 64, sizeof(want));
+
+    const auto& cs = pmem::tl_commit_stats();
+    const uint64_t aborts0 = cs.fastpath_aborts;
+    const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+    std::vector<uint64_t> seen;
+    E::updateTx([&] {
+        for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i)
+            *slot(i) = uint64_t(i) + 1;
+        E::store_range(big, pat.data(), kBig);
+        seen.push_back(slot(5)->pload());
+    });
+    // One doomed fast-path run, one slow-path re-run: both read the bytes
+    // they stored.
+    EXPECT_GT(cs.fastpath_aborts, aborts0);
+    EXPECT_GT(cs.fastpath_fallbacks, fallbacks0);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], want);
+    EXPECT_EQ(seen[1], want);
+    bool same = false;
+    E::readTx([&] { same = std::memcmp(big, pat.data(), kBig) == 0; });
+    EXPECT_TRUE(same);
 }
 
 TYPED_TEST(StripeFastPath, KnobOffForcesSlowPath) {
