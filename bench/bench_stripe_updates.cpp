@@ -9,6 +9,10 @@
 //     aborts at acquire time and falls back, so this bounds the tax the
 //     fast-path attempt adds to workloads it cannot help.
 //
+// Each row also reports the mean write sets per durable apply window: the
+// Romulus fast path group-commits concurrent announcers (§4.11), so above
+// 1.0 several commits shared one MUT/CPY/IDL window.
+//
 // Engines: the three stripe engines (RomulusNL, RomulusLog, UndoLog*) plus
 // RedoLog*, whose native TL2 path is what UpdateConfig::fastpath gates
 // there.  RomulusLR is excluded: its updateTx runs remote via flat
@@ -32,6 +36,12 @@ struct UpdateRates {
     double tx_per_sec = 0;
     uint64_t fp_commits = 0;
     uint64_t fp_fallbacks = 0;
+    uint64_t fp_windows = 0;  ///< group-apply windows (fastpath_batches)
+    uint64_t fp_sets = 0;     ///< write sets they carried (fastpath_batched)
+    /// Mean write sets per durable apply window (0 when none ran).
+    double sets_per_window() const {
+        return fp_windows == 0 ? 0.0 : double(fp_sets) / double(fp_windows);
+    }
 };
 
 /// run_throughput plus per-thread CommitStats fast-path deltas (the
@@ -39,7 +49,8 @@ struct UpdateRates {
 template <typename OpFn>
 UpdateRates run_update_throughput(int nthreads, int ms, OpFn&& op) {
     std::atomic<bool> start{false}, stop{false};
-    std::atomic<uint64_t> total{0}, commits{0}, fallbacks{0};
+    std::atomic<uint64_t> total{0}, commits{0}, fallbacks{0}, windows{0},
+        sets{0};
     std::vector<std::thread> ts;
     ts.reserve(nthreads);
     for (int t = 0; t < nthreads; ++t) {
@@ -47,6 +58,8 @@ UpdateRates run_update_throughput(int nthreads, int ms, OpFn&& op) {
             const auto& cs = pmem::tl_commit_stats();
             const uint64_t c0 = cs.fastpath_commits;
             const uint64_t f0 = cs.fastpath_fallbacks;
+            const uint64_t w0 = cs.fastpath_batches;
+            const uint64_t s0 = cs.fastpath_batched;
             while (!start.load(std::memory_order_acquire))
                 std::this_thread::yield();
             uint64_t n = 0;
@@ -57,6 +70,8 @@ UpdateRates run_update_throughput(int nthreads, int ms, OpFn&& op) {
             total.fetch_add(n);
             commits.fetch_add(cs.fastpath_commits - c0);
             fallbacks.fetch_add(cs.fastpath_fallbacks - f0);
+            windows.fetch_add(cs.fastpath_batches - w0);
+            sets.fetch_add(cs.fastpath_batched - s0);
         });
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -68,7 +83,7 @@ UpdateRates run_update_throughput(int nthreads, int ms, OpFn&& op) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     return {static_cast<double>(total.load()) / secs, commits.load(),
-            fallbacks.load()};
+            fallbacks.load(), windows.load(), sets.load()};
 }
 
 /// One measured point: nthreads small update transactions, fast path
@@ -111,8 +126,9 @@ int main() {
 
     auto sweep = [&](const char* name, bool disjoint) {
         print_header(name);
-        std::printf("%-6s %8s %-5s %10s %12s %12s %8s\n", "PTM", "threads",
-                    "mode", "tx/s", "fp commits", "fp fallback", "speedup");
+        std::printf("%-6s %8s %-5s %10s %12s %12s %7s %8s\n", "PTM",
+                    "threads", "mode", "tx/s", "fp commits", "fp fallback",
+                    "sets/win", "speedup");
         json.begin_array(disjoint ? "disjoint" : "conflict");
         for_each_ptm([&]<typename E>() {
             if constexpr (std::is_same_v<E, RomulusLR>) return;
@@ -126,16 +142,19 @@ int main() {
                                                   : 1.0;
                     if (!fastpath) slow_rate = r.tx_per_sec;
                     std::printf("%-6s %8d %-5s %10.0f %12" PRIu64
-                                " %12" PRIu64 " %7.2fx\n",
+                                " %12" PRIu64 " %7.2f %7.2fx\n",
                                 short_name<E>(), nt, mode, r.tx_per_sec,
-                                r.fp_commits, r.fp_fallbacks, speedup);
+                                r.fp_commits, r.fp_fallbacks,
+                                r.sets_per_window(), speedup);
                     json.record(JsonEmitter::fields(
                         {JsonEmitter::str("engine", short_name<E>()),
                          JsonEmitter::num("threads", uint64_t(nt)),
                          JsonEmitter::str("mode", mode),
                          JsonEmitter::num("tx_per_sec", r.tx_per_sec, "%.0f"),
                          JsonEmitter::num("fp_commits", r.fp_commits),
-                         JsonEmitter::num("fp_fallbacks", r.fp_fallbacks)}));
+                         JsonEmitter::num("fp_fallbacks", r.fp_fallbacks),
+                         JsonEmitter::num("fp_sets_per_window",
+                                          r.sets_per_window(), "%.3f")}));
                 }
             }
         });

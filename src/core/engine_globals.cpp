@@ -1,9 +1,11 @@
 #include "core/engine_globals.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 namespace romulus {
 
@@ -43,15 +45,38 @@ UpdateConfig& update_config() {
     return cfg;
 }
 
-bool parse_env_long(const char* text, long lo, long* out) {
+namespace {
+/// The strict parse behind parse_env_long and parse_env_u64.
+template <typename T>
+bool parse_env_number(const char* text, T lo, T* out) {
     if (text == nullptr || *text == '\0') return false;
     errno = 0;
     char* end = nullptr;
-    const long n = std::strtol(text, &end, 10);
+    T n;
+    if constexpr (std::is_signed_v<T>) {
+        n = std::strtol(text, &end, 10);
+    } else {
+        const char* p = text;
+        while (std::isspace(static_cast<unsigned char>(*p))) ++p;
+        if (*p == '-') return false;  // strtoull would wrap it modulo 2^64
+        n = std::strtoull(text, &end, 10);
+    }
     if (end == text || errno == ERANGE) return false;
     while (*end == ' ' || *end == '\t') ++end;  // tolerate trailing blanks
     if (*end != '\0') return false;             // reject "12x", "1.5", ...
     if (n < lo) return false;
+    *out = n;
+    return true;
+}
+}  // namespace
+
+bool parse_env_long(const char* text, long lo, long* out) {
+    return parse_env_number(text, lo, out);
+}
+
+bool parse_env_u64(const char* text, uint64_t* out) {
+    unsigned long long n;
+    if (!parse_env_number(text, 0ull, &n)) return false;
     *out = n;
     return true;
 }
@@ -76,9 +101,12 @@ std::string apply_env_tuning() {
     });
     env_long("ROMULUS_COMMIT_COALESCE", 0,
              [](long n) { pmem::commit_config().coalesce = n != 0; });
-    env_long("ROMULUS_NT_THRESHOLD", 0, [](long n) {
+    // Unsigned: nt_threshold's stream-nothing value, SIZE_MAX, lies past
+    // long's range.
+    if (uint64_t n; parse_env_u64(std::getenv("ROMULUS_NT_THRESHOLD"), &n)) {
         pmem::commit_config().nt_threshold = static_cast<size_t>(n);
-    });
+        os << "ROMULUS_NT_THRESHOLD=" << n << " ";
+    }
     env_long("ROMULUS_COMBINE_RESCANS", 0, [](long n) {
         pmem::commit_config().combine_rescans = static_cast<unsigned>(n);
     });

@@ -90,6 +90,11 @@ UpdateConfig& update_config();
 /// way instead of each growing its own atol call.
 bool parse_env_long(const char* text, long lo, long* out);
 
+/// The same strict parse for an unsigned 64-bit value (a leading '-' is
+/// rejected, not wrapped): the range ROMULUS_NT_THRESHOLD needs to spell
+/// its stream-nothing value, SIZE_MAX.
+bool parse_env_u64(const char* text, uint64_t* out);
+
 /// parse_env_long over getenv(name).
 bool env_to_long(const char* name, long lo, long* out);
 
@@ -100,6 +105,7 @@ bool env_to_long(const char* name, long lo, long* out);
 ///   ROMULUS_READ_MAX_ATTEMPTS=<n>    ReadConfig::max_attempts (>= 1)
 ///   ROMULUS_COMMIT_COALESCE=0|1      CommitConfig::coalesce
 ///   ROMULUS_NT_THRESHOLD=<bytes>     CommitConfig::nt_threshold
+///                                    (18446744073709551615: never stream)
 ///   ROMULUS_COMBINE_RESCANS=<n>      CommitConfig::combine_rescans
 ///   ROMULUS_COMBINE_WAIT_US=<us>     CommitConfig::combine_wait_us
 ///   ROMULUS_UPDATE_FASTPATH=0|1     UpdateConfig::fastpath

@@ -126,10 +126,20 @@ class RomulusEngine {
         s.main_size = s.layout.main_size;
         build_shards();
 
-        if (valid) {
-            recover();
-        } else {
-            format();
+        try {
+            if (valid) {
+                recover();
+            } else {
+                format();
+            }
+        } catch (...) {
+            // Leave the engine re-initializable: the next init() builds its
+            // shards afresh instead of over these (whose range-log and
+            // stripe tables would leak).
+            teardown_shards();
+            s.region.unmap();
+            s.header = nullptr;
+            throw;
         }
         for (unsigned i = 0; i < s.nshards; ++i) {
             Shard& sh = shard(i);
@@ -473,7 +483,7 @@ class RomulusEngine {
             }
         }
         const int t = sync::tid();
-        sync::FlatCombiningArray::Op op{std::forward<F>(f)};
+        sync::FlatCombiningArray<>::Op op{std::forward<F>(f)};
         sh.fc.announce(t, &op);
         unsigned spins = 0;
         while (true) {
@@ -736,6 +746,12 @@ class RomulusEngine {
     static sync::StripeLockTable& stripes_for_tests(unsigned shard_id = 0) {
         return shard(shard_id).stripes;
     }
+    /// Test hook: the shard's fast-path announce slots (§4.11), exposed so
+    /// fixtures can wait until given committers have announced.
+    static sync::FlatCombiningArray<sync::SpecBuffer>& fastpath_slots_for_tests(
+        unsigned shard_id = 0) {
+        return shard(shard_id).fp_slots;
+    }
 
     /// Flat-combining aggregation stats (§5.3: several announced updates
     /// execute inside one durable transaction, so the *average* number of
@@ -786,7 +802,8 @@ class RomulusEngine {
             new (&sh.seq) sync::SeqLock();  // a crash mid-MUT left it odd
             new (&sh.fp_gate) sync::CRWWPLock();
             sh.stripes.reset_for_tests();  // held stripes died with the crash
-            new (&sh.fc) sync::FlatCombiningArray();
+            new (&sh.fc) sync::FlatCombiningArray<>();
+            new (&sh.fp_slots) sync::FlatCombiningArray<sync::SpecBuffer>();
         }
     }
 
@@ -875,7 +892,9 @@ class RomulusEngine {
         sync::StripeLockTable stripes;    // fast-path version locks (§4.11)
         sync::CRWWPLock fp_gate;          // fast-path appliers (writers) vs
                                           // pessimistic readers (§4.11)
-        sync::FlatCombiningArray fc;
+        sync::FlatCombiningArray<> fc;
+        // Locked, validated fast-path write sets awaiting the group apply.
+        sync::FlatCombiningArray<sync::SpecBuffer> fp_slots;
         std::atomic<uint64_t> combines{0};      // combiner invocations
         std::atomic<uint64_t> combined_ops{0};  // operations they executed
         bool used_pwb_pending = false;  // used_size grew; pwb owed at commit
@@ -1160,16 +1179,19 @@ class RomulusEngine {
     //      is re-run on the slow path afterwards.
     //   3. Commit: try-acquire the write set's stripes in canonical
     //      (sorted) order, validate captured-line versions and the read
-    //      set, advance the shard's fast-path clock to wv, then apply
-    //      durably under fp_gate: MUT -> pfence -> seqlock odd -> per-line
-    //      store+pwb -> pfence -> CPY -> psync (durability point) ->
-    //      seqlock even -> replicate touched runs to back -> pfence -> IDL.
-    //      Release stripes at wv.
+    //      set, advance the shard's fast-path clock to wv, and announce the
+    //      write set in the shard's fp_slots.
+    //   4. Group apply: whichever announcer wins fp_gate makes every
+    //      announced write set durable in one twin-state transaction —
+    //      MUT -> pfence -> seqlock odd -> all lines into main -> pfence ->
+    //      CPY -> psync (durability point) -> seqlock even -> all lines
+    //      into back -> pfence -> IDL — and marks their announcers done.
+    //      Each announcer then releases its own stripes at its own wv.
     //
-    // A torn fast-path commit is all-or-nothing through the unchanged
-    // twin-state recovery: a crash in MUT rolls the whole write set back
-    // from back, a crash in CPY re-replicates main.  Stripe words, the
-    // clock and the write set are volatile and die with the crash.
+    // A torn group apply is all-or-nothing through the unchanged twin-state
+    // recovery: a crash in MUT rolls every write set of the batch back from
+    // back, a crash in CPY re-replicates main.  Stripe words, the clock, the
+    // announce slots and the write sets are volatile and die with the crash.
 
     using FpTx = sync::SpecBuffer;
     static FpTx& tl_fp() {
@@ -1291,22 +1313,45 @@ class RomulusEngine {
         if (!sync::spec_lock_write_set(fp, sh.stripes, order, pre, &ns))
             return false;
         const uint64_t wv = sh.stripes.clock_advance();
-        fp_apply(sh);
+        // Announce the write set, then until an applier has made it durable
+        // try to become that applier: a lone committer is a batch of one.
+        const int t = sync::tid();
+        sh.fp_slots.announce(t, &fp);
+        unsigned spins = 0;
+        while (!sh.fp_slots.is_done(t)) {
+            if (sh.fp_gate.try_write_lock()) {
+                fp_apply_batch(sh);
+                sh.fp_gate.write_unlock();
+            } else {
+                sync::spin_wait(spins);
+            }
+        }
         for (unsigned j = 0; j < ns; ++j) sh.stripes.release(order[j], wv);
         return true;
     }
 
-    /// Durable apply of the validated write set.  fp_gate.write serializes
-    /// concurrent fast-path committers and excludes pessimistic readers, so
-    /// the shard's seqlock and twin-state machine keep their single-writer
-    /// contract (slow-path writers are already excluded by the shared
-    /// rwlock hold) — which is exactly why recovery needs no new cases.
-    static void fp_apply(Shard& sh) {
-        // The write set arrives sorted by offset (spec_lock_write_set), so
-        // back-replication coalesces adjacent lines into maximal runs,
-        // RangeLog-style.
-        FpTx& fp = tl_fp();
-        sh.fp_gate.write_lock();
+    /// Group apply: make every write set announced on the shard durable in
+    /// one twin-state transaction, then release their announcers.  The
+    /// caller holds fp_gate.write, which serializes appliers and excludes
+    /// pessimistic readers, so the shard's seqlock and twin-state machine
+    /// keep their single-writer contract (slow-path writers are excluded by
+    /// every announcer's shared rwlock hold) — which is exactly why recovery
+    /// needs no new cases.  The write sets are line-disjoint (each announcer
+    /// holds its lines' stripes) and sorted by offset (spec_lock_write_set).
+    static void fp_apply_batch(Shard& sh) {
+        int slots[sync::kMaxThreads];
+        FpTx* sets[sync::kMaxThreads];
+        int n = 0;
+        sh.fp_slots.for_each_announced([&](int slot, FpTx* fp) {
+            slots[n] = slot;
+            sets[n++] = fp;
+        });
+        if (n == 0) return;  // ours went out with the previous applier's batch
+        // Under a profile whose pwb evicts the line, every line goes to main
+        // and then to back straight from its buffered image with NT stores
+        // (no RFO, no flush, no re-read of main), drained before the CPY and
+        // IDL state stores; otherwise a cached store + pwb per line.
+        const bool nt = pmem::streams_line_images();
         tx_begin_hook();
         store_state(sh, MUT);
         pmem::pwb(&sh.hdr->state);
@@ -1315,43 +1360,66 @@ class RomulusEngine {
         // as on the slow path (§4.9).
         sh.seq.write_enter();
         ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
-        for (unsigned i = 0; i < fp.nw; ++i) {
-            const auto& wl = fp.wlines[i];
-            uint8_t* dst = sh.main + wl.line_off;
-            if constexpr (Traits::kUseLog) {
-                // Same discipline as the slow path: the store is covered by
-                // a log notification before commit (checker require_log).
+        for (int b = 0; b < n; ++b) {
+            for (unsigned i = 0; i < sets[b]->nw; ++i) {
+                const auto& wl = sets[b]->wlines[i];
+                uint8_t* dst = sh.main + wl.line_off;
+                // The write set is the transaction's log: each line is
+                // written back and replicated below (checker require_log).
                 pmem::notify_range_logged(dst, pmem::kCacheLineSize);
+                if (nt) {
+                    pmem::nt_store_line(dst, wl.data);
+                } else {
+                    std::memcpy(dst, wl.data, pmem::kCacheLineSize);
+                    pmem::on_store(dst, pmem::kCacheLineSize);
+                    pmem::pwb(dst);
+                }
+                ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
             }
-            std::memcpy(dst, wl.data, pmem::kCacheLineSize);
-            ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
-            pmem::on_store(dst, pmem::kCacheLineSize);
-            pmem::pwb(dst);
         }
-        pmem::pfence();  // order the write set before the CPY state persist
+        if (nt) {
+            pmem::nt_drain();
+            // An NT store leaves no cached copy, so the next get of a hot
+            // record, or the capture of its next update, would miss to
+            // memory: fetch the new lines back without waiting for them.
+            for (int b = 0; b < n; ++b)
+                for (unsigned i = 0; i < sets[b]->nw; ++i)
+                    __builtin_prefetch(sh.main + sets[b]->wlines[i].line_off);
+        }
+        pmem::pfence();  // order the write sets before the CPY state persist
         store_state(sh, CPY);
         pmem::pwb(&sh.hdr->state);
-        pmem::psync();  // ACID durability point: all of the write set or none
+        pmem::psync();  // ACID durability point: every write set or none
         // Reopen the optimistic-read window before back replication, like
         // the slow path (§4.9): readers overlap the replication phase.
         ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
         sh.seq.write_exit();
-        for (unsigned i = 0; i < fp.nw;) {
-            const uint64_t off = fp.wlines[i].line_off;
-            uint64_t len = pmem::kCacheLineSize;
-            unsigned j = i + 1;
-            while (j < fp.nw && fp.wlines[j].line_off == off + len) {
-                len += pmem::kCacheLineSize;
-                ++j;
+        for (int b = 0; b < n; ++b) {
+            const FpTx& fp = *sets[b];
+            for (unsigned i = 0; i < fp.nw;) {
+                const uint64_t off = fp.wlines[i].line_off;
+                unsigned j = i + 1;
+                if (nt) {
+                    pmem::nt_store_line(sh.back + off, fp.wlines[i].data);
+                } else {
+                    // Adjacent lines replicate as one run, RangeLog-style.
+                    while (j < fp.nw && fp.wlines[j].line_off ==
+                                            off + (j - i) * pmem::kCacheLineSize)
+                        ++j;
+                    copy_range_to_back(sh, off, (j - i) * pmem::kCacheLineSize);
+                }
+                i = j;
             }
-            copy_range_to_back(sh, off, len);
-            i = j;
         }
+        if (nt) pmem::nt_drain();
         pmem::pfence();  // order back writes before the IDL state write-back
         store_state(sh, IDL);
         pmem::pwb(&sh.hdr->state);
         tx_commit_hook();
-        sh.fp_gate.write_unlock();
+        for (int b = 0; b < n; ++b) sh.fp_slots.mark_done(slots[b]);
+        auto& cs = pmem::tl_commit_stats();
+        cs.fastpath_batches++;
+        cs.fastpath_batched += uint64_t(n);
     }
 
     // --- combiner ----------------------------------------------------------
@@ -1385,7 +1453,7 @@ class RomulusEngine {
             auto drain = [&] {
                 int newly = 0;
                 sh.fc.for_each_announced(
-                    [&](int slot, sync::FlatCombiningArray::Op* op) {
+                    [&](int slot, sync::FlatCombiningArray<>::Op* op) {
                         if (taken[slot]) return;  // executed in a prior scan
                         taken[slot] = true;
                         (*op)();

@@ -289,4 +289,27 @@ void persist_copy(void* dst, const void* src, size_t len) {
     }
 #endif
 }
+
+void nt_store_line(void* dst, const void* src) {
+#ifdef ROMULUS_X86
+    auto* d = static_cast<__m128i*>(dst);
+    const auto* s = static_cast<const __m128i*>(src);
+    for (int i = 0; i < 4; ++i) _mm_stream_si128(d + i, _mm_loadu_si128(s + i));
+#else
+    std::memcpy(dst, src, kCacheLineSize);
+#endif
+    tl_stats().nvm_bytes += kCacheLineSize;
+    tl_commit_stats().nt_bytes += kCacheLineSize;
+    if (detail::g_sim_hooks) {
+        detail::g_sim_hooks->on_store(dst, kCacheLineSize);
+        detail::g_sim_hooks->on_pwb(dst);
+    }
+}
+
+void nt_drain() {
+#ifdef ROMULUS_X86
+    _mm_sfence();
+#endif
+}
+
 }  // namespace romulus::pmem

@@ -160,6 +160,24 @@ inline bool streams(size_t len) {
 #endif
 }
 
+/// The line-image selection (DESIGN.md §4.6): true when the stripe fast
+/// path's group apply writes each buffered 64 B line image to main and to
+/// back with one non-temporal store instead of a cached store + pwb.  That
+/// takes x86 and a profile whose pwb evicts the line anyway (CLFLUSH,
+/// CLFLUSHOPT), so the NT store saves the read-for-ownership and the flush
+/// and loses nothing.  CLWB keeps the written-back line cached for the next
+/// access, NOP and the STT/PCM emulation never stream, and nt_threshold =
+/// SIZE_MAX turns this off together with every other streaming path.
+inline bool streams_line_images() {
+#if defined(__x86_64__) || defined(__i386__)
+    const Profile p = detail::g_profile.effective;
+    return (p == Profile::CLFLUSH || p == Profile::CLFLUSHOPT) &&
+           detail::g_commit_config.nt_threshold != SIZE_MAX;
+#else
+    return false;
+#endif
+}
+
 /// Write back the cache line containing addr.
 inline void pwb(const void* addr) {
     tl_stats().pwb++;
@@ -203,6 +221,21 @@ inline void pwb_range(const void* addr, size_t len) {
 /// streamed lines as pending until the engine's own fence, which is strictly
 /// more conservative than the hardware).
 void persist_copy(void* dst, const void* src, size_t len);
+
+/// Write the whole cache line at `dst` (64-byte aligned) from the 64 B image
+/// at `src` with non-temporal stores (see streams_line_images()).  The sim
+/// hooks see a store followed by a pwb, exactly like persist_copy's
+/// streamed lines, and the bytes count as nvm_bytes and nt_bytes; no pwb is
+/// counted.  Unlike persist_copy no sfence is issued: the caller drains a
+/// whole batch of line images with one nt_drain().
+void nt_store_line(void* dst, const void* src);
+
+/// Drain this thread's outstanding non-temporal stores (sfence on x86).
+/// Like persist_copy's internal sfence it is not a paper-model fence: it is
+/// neither counted nor reported to the sim hooks, and ordering against
+/// later stores still comes from the caller's pfence()/psync() — which the
+/// CLFLUSH profile maps to a nop, hence this drain.
+void nt_drain();
 
 /// Order preceding pwbs before subsequent ones.
 inline void pfence() {

@@ -68,6 +68,12 @@ void SimPersistence::crash_restore() {
     pending_.clear();
 }
 
+void SimPersistence::drop_cache() {
+    std::lock_guard lk(mu_);
+    dirty_.clear();
+    pending_.clear();
+}
+
 void SimPersistence::checkpoint_all() {
     std::lock_guard lk(mu_);
     image_.assign(base_, base_ + size_);

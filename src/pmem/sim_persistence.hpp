@@ -103,6 +103,12 @@ class SimPersistence final : public SimHooks {
     /// only in the "cache" is lost, exactly as in a power cut.
     void crash_restore();
 
+    /// A power cut that leaves the region alone: drop every dirty and
+    /// pending line.  For a crash after the region was unmapped (an engine
+    /// init() that threw unmaps it); the caller writes image() to the
+    /// backing file itself.
+    void drop_cache();
+
     /// Re-baseline the shadow image from the live content (e.g. after a
     /// freshly formatted heap that the test treats as fully persisted).
     void checkpoint_all();

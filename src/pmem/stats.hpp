@@ -53,8 +53,10 @@ struct CommitStats {
     uint64_t runs = 0;          ///< coalesced [off,len) replication runs
     uint64_t lines_logged = 0;  ///< logged lines before merging (flushed
                                 ///< and copy-only, RangeLog::add_copy_only)
-    /// persist_copy bytes via non-temporal stores: the back replica plus
-    /// the streamed whole lines of large store_range payloads in main.
+    /// Bytes written with non-temporal stores: persist_copy's back
+    /// replica and streamed whole lines of large store_range payloads in
+    /// main, plus the fast-path apply's 64 B line images (main and back)
+    /// under a profile whose pwb evicts the line (pmem::nt_store_line).
     uint64_t nt_bytes = 0;
     uint64_t cached_bytes = 0;  ///< persist_copy bytes via cached stores + pwb
     /// Write-backs of lines with no prior dirty store — wasted flushes.
@@ -70,6 +72,12 @@ struct CommitStats {
     uint64_t fastpath_fallbacks = 0;  ///< updateTx that ran the C-RW-WP
                                       ///< slow path (after aborting or
                                       ///< because the fast path is off)
+    /// Fast-path group apply (DESIGN.md §4.11): durable apply windows
+    /// this thread ran, and the announced write sets they carried (their
+    /// ratio is the mean batch size; 1.0 = no two commits ever shared one
+    /// MUT/CPY/IDL window).
+    uint64_t fastpath_batches = 0;
+    uint64_t fastpath_batched = 0;
     /// Flat-combining batch-size histogram: bucket b counts combined
     /// transactions whose batch held (2^(b-1), 2^b] announced operations
     /// (bucket 0 = singletons, bucket 7 = everything above 64).  Shows how

@@ -1,12 +1,18 @@
 // Flat-combining announce array (Hendler et al. [14], used as in §5.2/§5.3).
 //
-// An update transaction announces a pointer to its closure in its per-thread
-// slot.  Whichever announcer acquires the writer lock becomes the combiner:
-// it scans the array, executes every announced closure inside a single
-// durable transaction, and clears each slot once the corresponding operation
-// is durable.  Announcers whose slot was cleared return without ever taking
-// the lock — this is what gives update transactions starvation-free progress
-// even though the underlying lock is an unfair spin lock.
+// An update transaction announces a pointer to its payload in its
+// per-thread slot.  Whichever announcer acquires the writer lock becomes the
+// combiner: it scans the array, serves every announced payload inside a
+// single durable transaction, and clears each slot once the corresponding
+// operation is durable.  Announcers whose slot was cleared return without
+// ever taking the lock — this is what gives update transactions
+// starvation-free progress even though the underlying lock is an unfair
+// spin lock.
+//
+// The payload is generic: the slow-path combiner announces closures (the
+// default), the stripe fast path announces locked, validated write sets
+// that one applier makes durable together (DESIGN.md §4.11).  Both share
+// this one announce/take/done protocol and its race-detector edges.
 #pragma once
 
 #include <atomic>
@@ -18,9 +24,10 @@
 
 namespace romulus::sync {
 
+template <typename Payload = std::function<void()>>
 class FlatCombiningArray {
   public:
-    using Op = std::function<void()>;
+    using Op = Payload;
 
     /// Publish `op` in this thread's slot.  `op` must stay alive until the
     /// slot is observed empty again.
@@ -43,8 +50,9 @@ class FlatCombiningArray {
         return false;
     }
 
-    /// Combiner side: run `fn(op)` for every announced operation.  `fn` must
-    /// call mark_done() itself once the operation's effects are durable.
+    /// Combiner side: run `fn(slot, op)` for every announced operation.
+    /// `fn` (or the caller, afterwards) must call mark_done() once the
+    /// operation's effects are durable.
     template <typename Fn>
     void for_each_announced(Fn&& fn) {
         const int n = max_tids();

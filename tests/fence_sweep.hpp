@@ -220,8 +220,8 @@ FenceSweepStats run_trace_fence_sweep(const analysis::TxTrace& trace,
 /// every-fence sweep, and asserts the dry run actually committed through the
 /// stripe path — otherwise a sweep advertised as covering fast-path commit
 /// fences would silently cover only the slow path.  Crash injection inside
-/// fp_apply exercises the claim that torn fast-path commits recover through
-/// the unchanged twin-state machinery (DESIGN.md §4.11).
+/// the group apply exercises the claim that torn fast-path commits recover
+/// through the unchanged twin-state machinery (DESIGN.md §4.11).
 template <typename E, typename Client = NullSweepClient>
 FenceSweepStats run_trace_fence_sweep_fastpath(
     const analysis::TxTrace& trace, const std::string& path,

@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 
+#include "analysis/crash_explorer.hpp"
 #include "ds/linked_list_set.hpp"
 #include "pmem/sim_persistence.hpp"
 #include "ptm_types.hpp"
@@ -94,9 +95,9 @@ TYPED_TEST(DoubleCrash, CrashInsideRecoveryStillRecovers) {
         E::crash_reset_for_tests();
 
         for (uint64_t f2 = 1; f2 <= 8; ++f2) {
-            // After crash_restore() the shadow image equals the live bytes
-            // (and the region may be unmapped here), so no rebaseline is
-            // needed before the next attempt.
+            // After a crash the shadow image equals the heap's bytes (live
+            // or, once a throwing init() unmapped it, in the file), so no
+            // rebaseline is needed before the next attempt.
             sim->crash_at = sim->model().fence_count() + f2;
             pmem::set_sim_hooks(sim.get());
             bool crashed_again = false;
@@ -110,10 +111,12 @@ TYPED_TEST(DoubleCrash, CrashInsideRecoveryStillRecovers) {
                 // Recovery completed within f2 fences; heap must be sound.
                 break;
             }
-            sim->model().crash_restore();
-            if (E::initialized()) E::close();
-            // init() may have died before setting up; unmap defensively.
-            E::region().unmap();
+            // A throwing init() tears down the shards it built and unmaps
+            // the region, so the power cut lands in the heap file.
+            EXPECT_FALSE(E::initialized());
+            EXPECT_EQ(E::shard_count(), 0u);
+            analysis::write_crash_image(path, sim->model().image());
+            sim->model().drop_cache();
             E::crash_reset_for_tests();
         }
         if (!E::initialized()) E::init(bytes, path);  // final clean recovery

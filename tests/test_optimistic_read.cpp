@@ -38,14 +38,9 @@
 #include "test_support.hpp"
 
 using namespace romulus;
+using romulus::test::ReadConfigGuard;
 
 namespace {
-
-/// RAII: optimistic-read tuning for the duration of a test.
-struct ReadConfigGuard {
-    ReadConfig saved = read_config();
-    ~ReadConfigGuard() { read_config() = saved; }
-};
 
 // The engines with a seqlock fast path: the C-RW-WP Romulus variants plus
 // the undo-log baseline.  RomulusLR readers are already wait-free through

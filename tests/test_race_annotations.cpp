@@ -104,12 +104,12 @@ TEST_F(RaceAnnotationTest, LeftRightProtocolSequence) {
 // acquires it, mark_done releases back, and the announcer's is_done acquires
 // once it observes the cleared slot.
 TEST_F(RaceAnnotationTest, FlatCombiningHandoffSequence) {
-    romulus::sync::FlatCombiningArray fc;
+    romulus::sync::FlatCombiningArray<> fc;
     const int t = romulus::sync::tid();
-    romulus::sync::FlatCombiningArray::Op op = [] {};
+    romulus::sync::FlatCombiningArray<>::Op op = [] {};
     fc.announce(t, &op);
     fc.for_each_announced(
-        [&](int slot, romulus::sync::FlatCombiningArray::Op*) {
+        [&](int slot, romulus::sync::FlatCombiningArray<>::Op*) {
             fc.mark_done(slot);
         });
     ASSERT_TRUE(fc.is_done(t));

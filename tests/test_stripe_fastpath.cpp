@@ -4,21 +4,31 @@
 // no-throw doomed-continuation rules), per-engine fast-path behaviour with
 // counter witnesses (commit, fallback, user-exception abort, footprint
 // overflow, knob-off), the combiner's bounded batch-wait
-// (CommitConfig::combine_wait_us), the shared env-knob parser, and
-// every-fence crash sweeps of traces that commit through the fast path.
+// (CommitConfig::combine_wait_us), the fast path's group apply (one durable
+// window for every announced write set; NT line images), the shared
+// env-knob parser, and every-fence crash sweeps of traces that commit
+// through the fast path.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/crash_explorer.hpp"
+#include "analysis/persist_graph.hpp"
+#ifdef ROMULUS_RACECHECK
+#include "analysis/race_detector.hpp"
+#endif
 #include "analysis/tx_trace.hpp"
 #include "db/kvstore.hpp"
 #include "ds/pqueue.hpp"
 #include "fence_sweep.hpp"
+#include "pmem/checker.hpp"
 #include "pmem/sim_persistence.hpp"
 #include "pmem/stats.hpp"
 #include "ptm_types.hpp"
@@ -28,6 +38,7 @@
 using namespace romulus;
 using romulus::test::EngineSession;
 using romulus::test::ProfileGuard;
+using romulus::test::ReadConfigGuard;
 using romulus::test::UpdateConfigGuard;
 
 // ------------------------------------------------------------ stripe table
@@ -398,6 +409,11 @@ TYPED_TEST(StripeFastPath, DisjointThreadsAllCommitSpeculatively) {
     // lock window, so not every update commits speculatively — but the
     // overwhelming majority must.
     EXPECT_GT(total_fp_commits.load(), kThreads * kRounds / 2);
+    if constexpr (!std::is_same_v<E, baselines::UndoLogPTM>) {
+        // Every group apply replicated its write sets: the twins agree.
+        EXPECT_EQ(std::memcmp(E::main_base(), E::back_base(), E::used_bytes()),
+                  0);
+    }
 }
 
 // --------------------------------------------------- combiner batch-wait
@@ -461,6 +477,418 @@ TEST(CombineBatchWait, ConcurrentAnnouncersShareOneDurableBatch) {
     EXPECT_GT(multi_op_batches.load(), 0u);
 }
 
+// ------------------------------------------------------------ group apply
+//
+// Fast-path committers announce their locked, validated write sets, and the
+// announcer that wins fp_gate applies every announced set in one
+// MUT/CPY/IDL window, each line from its buffered image (DESIGN.md §4.11).
+// RomulusNL and RomulusLog only: the undo baseline keeps its own apply.
+
+namespace {
+
+using GroupApplyPtms = ::testing::Types<RomulusNL, RomulusLog>;
+
+/// Counts the twin-state transitions the apply windows persist.
+struct StateTransitionCounter final : pmem::SimHooks {
+    std::atomic<int> by_state[3] = {};
+    void on_store(const void*, size_t) override {}
+    void on_pwb(const void*) override {}
+    void on_fence() override {}
+    void on_state_transition(uint32_t st) override {
+        if (st < 3) by_state[st].fetch_add(1);
+    }
+};
+
+/// Commit-path counters of one batch, summed over its committer threads.
+struct BatchTotals {
+    std::atomic<uint64_t> fp_commits{0}, batches{0}, batched{0};
+    std::atomic<uint64_t> pwbs{0}, nt_bytes{0};
+};
+
+}  // namespace
+
+template <typename E>
+class GroupApply : public ::testing::Test {
+  protected:
+    using PU = typename E::template p<uint64_t>;
+    static constexpr size_t kHeapBytes = 16u << 20;
+
+    void SetUp() override {
+        pmem::set_profile(pmem::Profile::NOP);
+        update_config().fastpath = true;
+        session_ = std::make_unique<EngineSession<E>>(
+            kHeapBytes, std::string("group_") + E::name());
+        // 64 counters, one per line (slot i at byte i*64), allocated on the
+        // slow path and published as root 2.
+        E::updateTx([&] {
+            auto* arr = static_cast<PU*>(E::alloc_bytes(64 * 64));
+            for (int i = 0; i < 64; ++i) arr[i * 8] = 0u;
+            E::put_object(2, arr);
+        });
+    }
+    void TearDown() override {
+        pmem::set_sim_hooks(nullptr);
+        session_.reset();
+    }
+
+    static PU* counters() { return E::template get_object<PU>(2); }
+    static uint64_t& in_main(int line) {
+        return *reinterpret_cast<uint64_t*>(counters() + line * 8);
+    }
+    static uint64_t in_back(int line) {
+        const auto* m = reinterpret_cast<const uint8_t*>(&in_main(line));
+        uint64_t v;
+        std::memcpy(&v, E::back_base() + (m - E::main_base()), sizeof(v));
+        return v;
+    }
+
+    /// One fast-path commit writing `v` to `line` on this thread; adds its
+    /// commit-path counters to `tot`.
+    static void commit_line(int line, uint64_t v, BatchTotals& tot) {
+        const pmem::CommitStats cs0 = pmem::tl_commit_stats();
+        const uint64_t pwb0 = pmem::tl_stats().pwb;
+        PU* arr = counters();
+        E::updateTx([&] { arr[line * 8] = v; });
+        const pmem::CommitStats& cs = pmem::tl_commit_stats();
+        tot.fp_commits += cs.fastpath_commits - cs0.fastpath_commits;
+        tot.batches += cs.fastpath_batches - cs0.fastpath_batches;
+        tot.batched += cs.fastpath_batched - cs0.fastpath_batched;
+        tot.nt_bytes += cs.nt_bytes - cs0.nt_bytes;
+        tot.pwbs += pmem::tl_stats().pwb - pwb0;
+    }
+
+    /// Deterministic batch of two: a pessimistic reader parks inside readTx,
+    /// holding fp_gate shared, until the committers of (line_a, va) and
+    /// (line_b, vb) have both announced.  Whichever of them wins fp_gate
+    /// waits the reader out and then finds both write sets announced.
+    static void commit_two_as_one_batch(int line_a, uint64_t va, int line_b,
+                                        uint64_t vb, BatchTotals& tot) {
+        ReadConfigGuard guard;
+        read_config().optimistic = false;
+        std::atomic<int> tids[2];
+        for (auto& t : tids) t.store(-1);
+        std::atomic<bool> parked{false};
+        std::thread reader([&] {
+            // Bounded, so a committer that never announces fails the
+            // caller's batch assertions instead of hanging the suite.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            E::readTx([&] {
+                parked.store(true);
+                for (auto& t : tids) {
+                    int id;
+                    while (((id = t.load()) < 0 ||
+                            E::fastpath_slots_for_tests().is_done(id)) &&
+                           std::chrono::steady_clock::now() < deadline)
+                        std::this_thread::yield();
+                }
+            });
+        });
+        while (!parked.load()) std::this_thread::yield();
+        auto committer = [&](int k, int line, uint64_t v) {
+            tids[k].store(sync::tid());
+            commit_line(line, v, tot);
+        };
+        std::thread a(committer, 0, line_a, va);
+        std::thread b(committer, 1, line_b, vb);
+        a.join();
+        b.join();
+        reader.join();
+    }
+
+    /// pwbs and NT bytes of one lone fast-path commit of kLines lines two
+    /// lines apart, so no run of the back copy reaches the NT threshold.
+    static constexpr uint64_t kLines = 3;
+    static std::pair<uint64_t, uint64_t> lone_commit_counts(uint64_t v) {
+        const pmem::CommitStats cs0 = pmem::tl_commit_stats();
+        const uint64_t pwb0 = pmem::tl_stats().pwb;
+        PU* arr = counters();
+        E::updateTx([&] {
+            for (uint64_t i = 0; i < kLines; ++i) arr[i * 16] = v + i;
+        });
+        const pmem::CommitStats& cs = pmem::tl_commit_stats();
+        EXPECT_EQ(cs.fastpath_commits - cs0.fastpath_commits, 1u);
+        EXPECT_EQ(cs.fastpath_batched - cs0.fastpath_batched, 1u);
+        for (uint64_t i = 0; i < kLines; ++i) {
+            EXPECT_EQ(in_main(int(i) * 2), v + i);
+            EXPECT_EQ(in_back(int(i) * 2), v + i);
+        }
+        return {pmem::tl_stats().pwb - pwb0, cs.nt_bytes - cs0.nt_bytes};
+    }
+
+    std::unique_ptr<EngineSession<E>> session_;
+    UpdateConfigGuard update_guard_;
+};
+
+TYPED_TEST_SUITE(GroupApply, GroupApplyPtms);
+
+TYPED_TEST(GroupApply, TwoAnnouncedWriteSetsShareOneWindow) {
+    using E = TypeParam;
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    StateTransitionCounter states;
+    const uint64_t seq0 = E::seq_for_tests().value();
+    BatchTotals tot;
+    pmem::set_sim_hooks(&states);
+    this->commit_two_as_one_batch(3, 31, 9, 97, tot);
+    pmem::set_sim_hooks(nullptr);
+
+    EXPECT_EQ(tot.fp_commits.load(), 2u);
+    EXPECT_EQ(tot.batches.load(), 1u);
+    EXPECT_EQ(tot.batched.load(), 2u);
+    EXPECT_EQ(states.by_state[MUT].load(), 1);
+    EXPECT_EQ(states.by_state[CPY].load(), 1);
+    EXPECT_EQ(states.by_state[IDL].load(), 1);
+    EXPECT_EQ(E::seq_for_tests().value(), seq0 + 2);  // one odd window
+    EXPECT_EQ(this->in_main(3), 31u);
+    EXPECT_EQ(this->in_back(3), 31u);
+    EXPECT_EQ(this->in_main(9), 97u);
+    EXPECT_EQ(this->in_back(9), 97u);
+    // The state words are the only pwbs; both line images went to main and
+    // to back with NT stores.
+    EXPECT_EQ(tot.pwbs.load(), 3u);
+    EXPECT_EQ(tot.nt_bytes.load(), 2u * 2 * 64);
+}
+
+TYPED_TEST(GroupApply, LineImagesReplaceEveryLinePwbUnderClflush) {
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    ASSERT_TRUE(pmem::streams_line_images());
+    const auto [pwbs, nt] = this->lone_commit_counts(40);
+    EXPECT_EQ(pwbs, 3u);  // MUT, CPY, IDL
+    EXPECT_EQ(nt, 2 * 64 * this->kLines);
+}
+
+// CLWB keeps the line cached, the STT emulation charges NVM cost per pwb,
+// and nt_threshold = SIZE_MAX turns every streaming path off: each keeps a
+// cached store + pwb per line in main and in back, 3 + 2k pwbs.
+TYPED_TEST(GroupApply, CachedLinesKeepOnePwbPerLineCopy) {
+    const uint64_t want = 3 + 2 * this->kLines;
+    {
+        ProfileGuard profile(pmem::Profile::CLWB);
+        if (pmem::effective_profile() == pmem::Profile::CLWB) {
+            const auto [pwbs, nt] = this->lone_commit_counts(50);
+            EXPECT_EQ(pwbs, want);
+            EXPECT_EQ(nt, 0u);
+        }
+    }
+    {
+        ProfileGuard profile(pmem::Profile::STT);
+        const auto [pwbs, nt] = this->lone_commit_counts(60);
+        EXPECT_EQ(pwbs, want);
+        EXPECT_EQ(nt, 0u);
+    }
+    {
+        ProfileGuard profile(pmem::Profile::CLFLUSH);
+        CommitConfigGuard commit_guard;
+        pmem::commit_config().nt_threshold = SIZE_MAX;
+        const auto [pwbs, nt] = this->lone_commit_counts(70);
+        EXPECT_EQ(pwbs, want);
+        EXPECT_EQ(nt, 0u);
+    }
+}
+
+TYPED_TEST(GroupApply, BatchedApplyStaysDisciplineClean) {
+    using E = TypeParam;
+    uint64_t v = 100;
+    for (auto prof : {pmem::Profile::CLFLUSH, pmem::Profile::CLWB}) {
+        for (auto content :
+             {pmem::FlushContent::AtFence, pmem::FlushContent::AtPwb}) {
+            ProfileGuard profile(prof);
+            pmem::PersistencyChecker::Options opts;
+            opts.content = content;
+            opts.require_log = true;
+            pmem::PersistencyChecker checker(
+                pmem::PersistencyChecker::template layout_of<E>(), opts);
+            BatchTotals tot;
+            pmem::set_sim_hooks(&checker);
+            v += 2;
+            this->commit_two_as_one_batch(4, v, 20, v + 1, tot);
+            pmem::set_sim_hooks(nullptr);
+            ASSERT_EQ(tot.batched.load(), 2u);
+            EXPECT_TRUE(checker.clean()) << checker.report();
+            EXPECT_EQ(checker.diagnostics().tx_commits, 1u);
+        }
+    }
+}
+
+// Every legal crash image of a two-write-set batch recovers both write sets
+// all-old or both all-new.  The batch is recorded and its images walked by
+// the romver crash explorer afterwards, so no crash unwinds an applier
+// while another announcer waits on it.
+TYPED_TEST(GroupApply, EveryCrashImageOfABatchIsAllOldOrAllNew) {
+    using E = TypeParam;
+    using PU = typename TestFixture::PU;
+    const std::string path = this->session_->path;
+    constexpr int kA = 5, kB = 12;
+    uint64_t v = 200;
+    for (auto prof : {pmem::Profile::CLFLUSH, pmem::Profile::CLWB}) {
+        ProfileGuard profile(prof);
+        const uint64_t old_a = this->in_main(kA), old_b = this->in_main(kB);
+        v += 2;
+        const uint64_t new_a = v, new_b = v + 1;
+        analysis::PersistEventRecorder rec(E::region().base(),
+                                           E::region().size());
+        BatchTotals tot;
+        pmem::set_sim_hooks(&rec);
+        this->commit_two_as_one_batch(kA, new_a, kB, new_b, tot);
+        pmem::set_sim_hooks(nullptr);
+        ASSERT_EQ(tot.batched.load(), 2u);
+        ASSERT_FALSE(rec.overflowed());
+        const analysis::PersistGraph graph = analysis::PersistGraph::build(rec);
+        const analysis::GraphAnalysis rules = analysis::analyze_protocol(
+            rec, graph, analysis::EngineLayout::of<E>());
+        EXPECT_TRUE(rules.clean()) << rules.report();
+        E::close();
+
+        const analysis::ExploreReport rep = analysis::explore_crash_images(
+            graph, rec,
+            [&](const std::vector<uint8_t>& image, const analysis::CrashCut& cut,
+                std::string& err) {
+                analysis::write_crash_image(path, image);
+                E::crash_reset_for_tests();
+                try {
+                    E::init(TestFixture::kHeapBytes, path);  // runs recovery
+                } catch (const std::exception& ex) {
+                    err = std::string("recovery threw: ") + ex.what();
+                    return false;
+                }
+                PU* arr = E::template get_object<PU>(2);
+                const uint64_t a = arr[kA * 8].pload(), b = arr[kB * 8].pload();
+                const bool all_old = a == old_a && b == old_b;
+                const bool all_new = a == new_a && b == new_b;
+                std::ostringstream os;
+                if (!(all_old || all_new) || (cut.complete && !all_new))
+                    os << "recovered (" << a << ", " << b << "); ";
+                if (analysis::RecoveryCheck rc = analysis::check_twin_halves<E>();
+                    !rc.ok)
+                    os << rc.detail;
+                E::close();
+                err = os.str();
+                return err.empty();
+            });
+        EXPECT_EQ(rep.violations, 0u) << rep.summary();
+        EXPECT_TRUE(rep.exhaustive) << rep.summary();
+        // Four fences split the batch into MUT | both main lines | CPY |
+        // both back lines | IDL: 1 + 3 + 1 + 3 + 1 cuts, plus the complete
+        // image.
+        EXPECT_EQ(rep.windows_total, 5u) << rep.summary();
+        EXPECT_EQ(rep.cuts_explored, 10u) << rep.summary();
+        E::crash_reset_for_tests();
+        E::init(TestFixture::kHeapBytes, path);
+    }
+}
+
+// The 4-writer disjoint churn under CLFLUSH, so batches carry NT line
+// images: no lost update, and main equals back afterwards.
+TYPED_TEST(GroupApply, DisjointChurnWithLineImagesKeepsTwinsEqual) {
+    using E = TypeParam;
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    constexpr int kThreads = 4;
+    constexpr uint64_t kRounds = 200;
+    typename TestFixture::PU* arr = this->counters();
+    BatchTotals tot;
+    std::vector<std::thread> ts;
+    for (int w = 0; w < kThreads; ++w) {
+        ts.emplace_back([&, w] {
+            for (uint64_t r = 1; r <= kRounds; ++r)
+                this->commit_line(w * 2, arr[w * 16].pload() + 1, tot);
+        });
+    }
+    for (auto& t : ts) t.join();
+    for (int w = 0; w < kThreads; ++w) EXPECT_EQ(this->in_main(w * 2), kRounds);
+    EXPECT_EQ(tot.batched.load(), tot.fp_commits.load());
+    EXPECT_EQ(std::memcmp(E::main_base(), E::back_base(), E::used_bytes()), 0);
+}
+
+#ifdef ROMULUS_RACECHECK
+// romrace armed over the group apply: three disjoint fast-path writers and
+// two optimistic readers.  The announce -> take edge orders each owner's
+// speculative reads before the applier's writes, and done -> owner orders
+// those writes before the owner's stripe.release; a missing edge surfaces
+// as a race on main.
+template <typename E>
+class GroupApplyRaceArmed : public ::testing::Test {
+  protected:
+    void SetUp() override {
+        pmem::set_profile(pmem::Profile::NOP);
+        auto& d = analysis::RaceDetector::instance();
+        d.reset();
+        d.enable();
+    }
+    void TearDown() override {
+        auto& d = analysis::RaceDetector::instance();
+        d.disable();
+        d.reset();
+    }
+};
+
+TYPED_TEST_SUITE(GroupApplyRaceArmed, GroupApplyPtms);
+
+TYPED_TEST(GroupApplyRaceArmed, DisjointWritersFormBatchesWithoutRaces) {
+    using E = TypeParam;
+    using PU = typename E::template p<uint64_t>;
+    UpdateConfigGuard update_guard;
+    update_config().fastpath = true;
+    EngineSession<E> session(16u << 20, std::string("group_race_") + E::name());
+    PU* arr = nullptr;
+    E::updateTx([&] {
+        arr = static_cast<PU*>(E::alloc_bytes(64 * 64));
+        for (int i = 0; i < 64; ++i) arr[i * 8] = 0u;
+        E::put_object(2, arr);
+    });
+
+    constexpr int kWriters = 3;
+    // Run until some window has carried two write sets (and at least
+    // kMinRounds each), bounded by kMaxRounds.
+    constexpr uint64_t kMinRounds = 100, kMaxRounds = 20000;
+    std::atomic<bool> stop{false}, multi{false};
+    std::atomic<uint64_t> windows{0}, sets{0};
+    uint64_t rounds[kWriters] = {};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&] {
+            while (!stop.load()) {
+                uint64_t sum = 0;
+                E::readTx([&] {
+                    sum = 0;
+                    for (int w = 0; w < kWriters; ++w) sum += arr[w * 8].pload();
+                });
+                (void)sum;
+            }
+        });
+    }
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w] {
+            const pmem::CommitStats& cs = pmem::tl_commit_stats();
+            const uint64_t b0 = cs.fastpath_batches, s0 = cs.fastpath_batched;
+            uint64_t r = 0;
+            while (r < kMaxRounds && (r < kMinRounds || !multi.load())) {
+                E::updateTx([&] { arr[w * 8] = arr[w * 8].pload() + 1; });
+                ++r;
+                if (cs.fastpath_batched - s0 > cs.fastpath_batches - b0)
+                    multi.store(true);
+            }
+            rounds[w] = r;
+            windows += cs.fastpath_batches - b0;
+            sets += cs.fastpath_batched - s0;
+        });
+    }
+    for (auto& t : writers) t.join();
+    stop.store(true);
+    for (auto& t : readers) t.join();
+
+    for (int w = 0; w < kWriters; ++w) {
+        uint64_t v = 0;
+        E::readTx([&] { v = arr[w * 8].pload(); });
+        EXPECT_EQ(v, rounds[w]) << "slot " << w;
+    }
+    EXPECT_TRUE(multi.load()) << "no apply window carried two write sets";
+    EXPECT_GT(sets.load(), windows.load());
+    auto& d = analysis::RaceDetector::instance();
+    EXPECT_EQ(d.race_count(), 0u) << d.report_text();
+}
+#endif  // ROMULUS_RACECHECK
+
 // ------------------------------------------------------- env knob parsing
 
 TEST(EnvTuning, SharedParserRejectsMalformedValues) {
@@ -479,6 +907,23 @@ TEST(EnvTuning, SharedParserRejectsMalformedValues) {
     EXPECT_EQ(v, 7);
     EXPECT_TRUE(parse_env_long("0", 0, &v));
     EXPECT_EQ(v, 0);
+}
+
+TEST(EnvTuning, NtThresholdSpellsEveryStreamingPathOff) {
+    uint64_t v = 5;
+    EXPECT_FALSE(parse_env_u64("-1", &v));  // not wrapped to 2^64 - 1
+    EXPECT_FALSE(parse_env_u64(" -1", &v));
+    EXPECT_FALSE(parse_env_u64("18446744073709551616", &v));  // ERANGE
+    EXPECT_FALSE(parse_env_u64("7x", &v));
+    EXPECT_EQ(v, 5u);
+    CommitConfigGuard guard;
+    ::setenv("ROMULUS_NT_THRESHOLD", "18446744073709551615", 1);
+    const std::string applied = apply_env_tuning();
+    ::unsetenv("ROMULUS_NT_THRESHOLD");
+    EXPECT_EQ(pmem::commit_config().nt_threshold, SIZE_MAX);
+    EXPECT_NE(applied.find("ROMULUS_NT_THRESHOLD=18446744073709551615"),
+              std::string::npos)
+        << applied;
 }
 
 TEST(EnvTuning, MalformedFastPathKnobsLeaveDefaults) {

@@ -25,6 +25,12 @@ struct UpdateConfigGuard {
     ~UpdateConfigGuard() { update_config() = saved; }
 };
 
+/// RAII: save/restore the optimistic-read knobs.
+struct ReadConfigGuard {
+    ReadConfig saved = read_config();
+    ~ReadConfigGuard() { read_config() = saved; }
+};
+
 /// RAII: select a flush profile for the duration of a test.
 struct ProfileGuard {
     explicit ProfileGuard(pmem::Profile p) : saved(pmem::profile()) {

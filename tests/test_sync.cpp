@@ -118,17 +118,17 @@ TEST(CRWWPTest, TryWriteLockRespectsExclusivity) {
 }
 
 TEST(FlatCombiningTest, AnnounceExecuteMarkDone) {
-    FlatCombiningArray fc;
+    FlatCombiningArray<> fc;
     const int t = tid();
     EXPECT_TRUE(fc.is_done(t));  // nothing announced yet
 
     int runs = 0;
-    FlatCombiningArray::Op op = [&] { ++runs; };
+    FlatCombiningArray<>::Op op = [&] { ++runs; };
     fc.announce(t, &op);
     EXPECT_FALSE(fc.is_done(t));
 
     int seen = 0;
-    fc.for_each_announced([&](int slot, FlatCombiningArray::Op* o) {
+    fc.for_each_announced([&](int slot, FlatCombiningArray<>::Op* o) {
         (*o)();
         fc.mark_done(slot);
         ++seen;
@@ -139,7 +139,7 @@ TEST(FlatCombiningTest, AnnounceExecuteMarkDone) {
 }
 
 TEST(FlatCombiningTest, CombinerAggregatesManyThreads) {
-    FlatCombiningArray fc;
+    FlatCombiningArray<> fc;
     SpinLock lock;
     std::atomic<int> executed{0};
     constexpr int kThreads = 4;
@@ -147,12 +147,12 @@ TEST(FlatCombiningTest, CombinerAggregatesManyThreads) {
     for (int i = 0; i < kThreads; ++i) {
         ts.emplace_back([&] {
             const int t = tid();
-            FlatCombiningArray::Op op = [&] { executed.fetch_add(1); };
+            FlatCombiningArray<>::Op op = [&] { executed.fetch_add(1); };
             fc.announce(t, &op);
             unsigned spins = 0;
             while (!fc.is_done(t)) {
                 if (lock.try_lock()) {
-                    fc.for_each_announced([&](int s, FlatCombiningArray::Op* o) {
+                    fc.for_each_announced([&](int s, FlatCombiningArray<>::Op* o) {
                         (*o)();
                         fc.mark_done(s);
                     });
