@@ -13,10 +13,12 @@
 // Romulus fast path group-commits concurrent announcers (§4.11), so above
 // 1.0 several commits shared one MUT/CPY/IDL window.
 //
-// Engines: the three stripe engines (RomulusNL, RomulusLog, UndoLog*) plus
-// RedoLog*, whose native TL2 path is what UpdateConfig::fastpath gates
-// there.  RomulusLR is excluded: its updateTx runs remote via flat
-// combining and has no speculative path (§4.11).
+// Engines: RomulusNL and RomulusLog run both modes.  The baselines have one
+// commit path each and run only that row, as the paper's reference points:
+// UndoLog* its mutex-serialized commit ("slow"), RedoLog* its TL2 commit
+// ("fp"; its fp-commit column stays 0, as the baselines never count
+// Romulus fast-path commits).  RomulusLR is excluded: its updateTx runs
+// remote via flat combining and has no speculative path (§4.11).
 //
 // Set ROMULUS_BENCH_JSON=<file> to emit BENCH_stripe.json for the CI smoke
 // job (scripts/bench_trajectory.py gates the stripe schema).
@@ -111,6 +113,14 @@ UpdateRates run_updates(int nthreads, bool fastpath, bool disjoint) {
     return r;
 }
 
+/// Whether engine E runs the sweep's `fastpath` mode (see the header).
+template <typename E>
+constexpr bool runs_mode(bool fastpath) {
+    if constexpr (std::is_same_v<E, baselines::UndoLogPTM>) return !fastpath;
+    if constexpr (std::is_same_v<E, baselines::RedoLogPTM>) return fastpath;
+    return true;
+}
+
 }  // namespace
 }  // namespace romulus::bench
 
@@ -135,6 +145,7 @@ int main() {
             for (int nt : threads) {
                 double slow_rate = 0;
                 for (bool fastpath : {false, true}) {
+                    if (!runs_mode<E>(fastpath)) continue;
                     UpdateRates r = run_updates<E>(nt, fastpath, disjoint);
                     const char* mode = fastpath ? "fp" : "slow";
                     const double speedup =

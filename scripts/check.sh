@@ -21,8 +21,9 @@
 #             over all five engines x {1,4} shards, every enumerated crash
 #             image recovered and model-checked, plus fork-and-crash
 #             episodes, then the same with the stripe fast path pinned on
-#             and with values up to 2 KB (streamed payloads).  Fixed seeds
-#             and bounded budgets keep it deterministic and fast; nightly
+#             and with values up to 2 KB (streamed payloads), then a
+#             sigkill pass (children SIGKILLed after a drawn store).  Fixed
+#             seeds and bounded budgets keep it deterministic and fast; nightly
 #             runs raise the budget via ROMFUZZ_ITERS / ROMFUZZ_CRASHES.
 #             Repro bundles from any failure land in
 #             build/check/fuzz/romfuzz-bundles*/ (CI uploads them as
@@ -139,6 +140,13 @@ run_leg() {
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-3}" \
             --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
             --out "$bundles-large"
+        # Fourth pass: each child is SIGKILLed right after a drawn store,
+        # so the crash can land between fences — a real process death at
+        # any store boundary, checked by the same oracle.
+        "$dir/tools/romfuzz" --engine all --shards 1,4 \
+            --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-4}" \
+            --mode sigkill --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
+            --out "$bundles-sigkill"
         ;;
     *)
         echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz)" >&2

@@ -13,7 +13,10 @@
 //   * fork mode: re-execute the trace in a forked child that _exit()s at a
 //     chosen fence (the test_crash_fork machinery), then recover the shared
 //     heap file in the parent and run the same oracle with the child's
-//     reported commit count tightening the admissible prefix window.
+//     reported commit count tightening the admissible prefix window; or
+//   * sigkill mode: the same, but the child raise()s SIGKILL right after a
+//     chosen store, so the death can land between fences (no unwinding, no
+//     exit handlers — a real process crash at any store boundary).
 //
 // The oracle is stronger than "matches some prefix": commit psyncs are
 // mapped to fence windows, so a cut that lies past transaction i's
@@ -25,6 +28,7 @@
 // the Romulus engines only.
 #pragma once
 
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -243,12 +247,17 @@ struct FuzzResult {
     bool ok() const { return violations() == 0; }
 };
 
+/// Where a fork-and-crash child dies: inside the k-th episode fence
+/// (`_exit`, fork mode) or right after the k-th episode store
+/// (`raise(SIGKILL)`, sigkill mode).
+enum class CrashPoint : uint8_t { kFence, kStore };
+
 struct ForkResult {
-    uint64_t fences_total = 0;  ///< episode fences available to crash at
+    uint64_t points_total = 0;  ///< episode fences/stores to crash at
     uint64_t crashes = 0;       ///< children actually killed mid-episode
     uint64_t violations = 0;
     std::vector<std::string> failures;
-    std::vector<uint64_t> violating_fences;
+    std::vector<uint64_t> violating_points;
 
     bool ok() const { return violations == 0; }
 };
@@ -317,38 +326,42 @@ class FuzzHarness {
     }
 
     /// Fork-and-crash mode: re-execute the trace in child processes that die
-    /// at `crashes` randomly drawn episode fences, recovering and
-    /// oracle-checking the heap after each.  Also runs one surviving child
-    /// (full history) as the crash-free control.
+    /// at `crashes` randomly drawn episode fences (or stores, for
+    /// CrashPoint::kStore), recovering and oracle-checking the heap after
+    /// each.  Also runs one surviving child (full history) as the
+    /// crash-free control.
     ForkResult run_fork(const TxTrace& trace, unsigned crashes,
-                        uint64_t rng_seed) {
-        const uint64_t total = count_episode_fences(trace);
+                        uint64_t rng_seed,
+                        CrashPoint at = CrashPoint::kFence) {
+        const uint64_t total = count_episode_points(trace, at);
         std::mt19937_64 rng(rng_seed ^ 0xD1B54A32D192ED03ull);
         std::vector<uint64_t> ks;
         for (unsigned i = 0; i < crashes && total > 0; ++i)
             ks.push_back(1 + rng() % total);
         ks.push_back(total + 1);  // survivor control
-        return run_fork_at(trace, ks, total);
+        return run_fork_at(trace, ks, at, total);
     }
 
-    /// Fork-and-crash at the given episode fences (the --replay path).
+    /// Fork-and-crash at the given episode fences or stores (the --replay
+    /// path).
     ForkResult run_fork_at(const TxTrace& trace,
                            const std::vector<uint64_t>& ks,
-                           uint64_t fences_total = 0) {
+                           CrashPoint at = CrashPoint::kFence,
+                           uint64_t points_total = 0) {
         ForkResult res;
-        res.fences_total =
-            fences_total ? fences_total : count_episode_fences(trace);
+        res.points_total =
+            points_total ? points_total : count_episode_points(trace, at);
+        const char* what = at == CrashPoint::kFence ? "fence " : "store ";
         for (uint64_t k : ks) {
             std::string err;
-            if (!fork_crash_at(trace, k, err)) {
+            if (!fork_crash_at(trace, k, at, err)) {
                 ++res.violations;
-                res.violating_fences.push_back(k);
-                if (res.failures.size() < 16) {
-                    res.failures.push_back("fence " + std::to_string(k) +
-                                           ": " + err);
-                }
+                res.violating_points.push_back(k);
+                if (res.failures.size() < 16)
+                    res.failures.push_back(what + std::to_string(k) + ": " +
+                                           err);
             }
-            if (k <= res.fences_total) ++res.crashes;
+            if (k <= res.points_total) ++res.crashes;
         }
         return res;
     }
@@ -538,47 +551,54 @@ class FuzzHarness {
         return ok;
     }
 
-    /// SimHooks observer that kills the process at the k-th fence.
-    class FenceKiller final : public pmem::SimHooks {
+    /// SimHooks observer that kills the process at the k-th fence (_exit)
+    /// or right after the k-th store (SIGKILL).
+    class CrashKiller final : public pmem::SimHooks {
       public:
-        explicit FenceKiller(uint64_t k) : k_(k) {}
-        void on_store(const void*, size_t) override {}
+        CrashKiller(CrashPoint at, uint64_t k) : at_(at), k_(k) {}
+        void on_store(const void*, size_t) override {
+            if (at_ == CrashPoint::kStore && ++n_ == k_) raise(SIGKILL);
+        }
         void on_pwb(const void*) override {}
         void on_fence() override {
-            if (++n_ == k_) _exit(42);
+            if (at_ == CrashPoint::kFence && ++n_ == k_) _exit(42);
         }
         uint64_t seen() const { return n_; }
 
       private:
+        CrashPoint at_;
         uint64_t k_;
         uint64_t n_ = 0;
     };
 
-    /// Fences issued while executing the episode (dry run, in process).
-    uint64_t count_episode_fences(const TxTrace& trace) {
+    /// Fences or stores issued while executing the episode (dry run, in
+    /// process).
+    uint64_t count_episode_points(const TxTrace& trace, CrashPoint at) {
         std::remove(cfg_.path.c_str());
         init_engine();
-        uint64_t fences = 0;
+        uint64_t points = 0;
         {
             KvFacade<E> kv(cfg_.root_idx);
             for (uint32_t i = 0; i < trace.setup_count; ++i)
                 kv.apply(trace.subtxs[i]);
-            FenceKiller counter(~uint64_t{0});
+            CrashKiller counter(at, ~uint64_t{0});
             pmem::set_sim_hooks(&counter);
             for (size_t i = trace.setup_count; i < trace.subtxs.size(); ++i) {
                 if (!trace.subtxs[i].is_get()) kv.apply(trace.subtxs[i]);
             }
             pmem::set_sim_hooks(nullptr);
-            fences = counter.seen();
+            points = counter.seen();
         }
         E::close();
-        return fences;
+        return points;
     }
 
-    /// One fork-crash: child re-executes the trace and dies at episode fence
-    /// k (or survives when k is past the end), parent recovers the shared
-    /// heap file and runs the oracle.  Returns false + err on violation.
-    bool fork_crash_at(const TxTrace& trace, uint64_t k, std::string& err) {
+    /// One fork-crash: child re-executes the trace and dies at episode
+    /// fence or store k (or survives when k is past the end), parent
+    /// recovers the shared heap file and runs the oracle.  Returns false +
+    /// err on violation.
+    bool fork_crash_at(const TxTrace& trace, uint64_t k, CrashPoint at,
+                       std::string& err) {
         std::remove(cfg_.path.c_str());
         int fds[2];
         if (pipe(fds) != 0) {
@@ -599,7 +619,7 @@ class FuzzHarness {
             KvFacade<E> kv(cfg_.root_idx);
             for (uint32_t i = 0; i < trace.setup_count; ++i)
                 kv.apply(trace.subtxs[i]);
-            FenceKiller killer(k);
+            CrashKiller killer(at, k);
             pmem::set_sim_hooks(&killer);
             for (size_t i = trace.setup_count; i < trace.subtxs.size(); ++i) {
                 if (!trace.subtxs[i].is_get()) kv.apply(trace.subtxs[i]);
@@ -616,7 +636,10 @@ class FuzzHarness {
         int status = 0;
         waitpid(pid, &status, 0);
         const bool survived = WIFEXITED(status) && WEXITSTATUS(status) == 7;
-        const bool killed = WIFEXITED(status) && WEXITSTATUS(status) == 42;
+        const bool killed =
+            at == CrashPoint::kFence
+                ? WIFEXITED(status) && WEXITSTATUS(status) == 42
+                : WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
         if (!survived && !killed) {
             err = "child exited abnormally (status " + std::to_string(status) +
                   ")";

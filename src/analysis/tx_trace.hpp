@@ -65,13 +65,17 @@ struct SubTx {
 
 /// Everything needed to re-run the exact crash scenario that failed.
 struct ReproInfo {
-    uint8_t mode = 0;  ///< 0: crash_explorer cuts, 1: fork-and-crash
+    /// 0: crash_explorer cuts, 1: fork-and-crash at a fence, 2: SIGKILL
+    /// after a store.
+    uint8_t mode = 0;
     uint64_t explore_seed = 1;
     uint64_t max_cuts = 0;
     uint64_t window_exhaustive_cap = 0;
     uint64_t window_samples = 0;
     uint64_t cut_index = 0;  ///< explore mode: the violating cut's index
-    uint64_t fence = 0;      ///< fork mode: episode fence the child died at
+    /// fork mode: episode fence the child died at; sigkill mode: episode
+    /// store it was killed after.
+    uint64_t fence = 0;
 
     bool operator==(const ReproInfo&) const = default;
 };

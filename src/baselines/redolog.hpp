@@ -240,35 +240,16 @@ class RedoLogPTM {
         }
         int retries = 0;
         while (true) {
-            // Under the force-pessimistic A/B knob every writer routes
-            // through the fallback mutex, so a "pessimistic" reader holding
-            // it genuinely excludes all writers (readTx below) instead of
-            // only the rare fallback ones.  The TL2 speculative commit *is*
-            // this engine's stripe-locked update fast path (DESIGN.md
-            // §4.11), so the ROMULUS_UPDATE_FASTPATH knob forces the
-            // fallback mutex too — giving the same speculative-vs-
-            // serialized A/B axis as the other engines — and the shared
-            // fastpath_* counters classify each attempt.
-            const bool fallback = retries >= kFallbackRetries ||
-                                  !read_config().optimistic ||
-                                  !update_config().fastpath;
+            const bool fallback = retries >= kFallbackRetries;
             std::unique_lock<std::mutex> flk;
-            if (fallback) {
-                flk = std::unique_lock(s.fallback_mutex);
-                // A knob-off run is not a "fallback" — the counter
-                // classifies attempted speculations only.
-                if (update_config().fastpath)
-                    pmem::tl_commit_stats().fastpath_fallbacks++;
-            }
+            if (fallback) flk = std::unique_lock(s.fallback_mutex);
             tx_begin(/*read_only=*/false);
             try {
                 f();
                 tx_commit();
-                if (!fallback) pmem::tl_commit_stats().fastpath_commits++;
                 return;
             } catch (const TxAbort&) {
                 tx_rollback();
-                if (!fallback) pmem::tl_commit_stats().fastpath_aborts++;
                 ++retries;
                 backoff(retries);
             } catch (...) {
@@ -286,14 +267,6 @@ class RedoLogPTM {
             f();
             return;
         }
-        // TL2 reads are optimistic by construction; ReadConfig's
-        // force-pessimistic A/B knob serialises them through the fallback
-        // mutex instead, which updateTx also always takes when the knob is
-        // off — so no writer runs concurrently and the first attempt
-        // validates.
-        std::unique_lock<std::mutex> pess;
-        if (!read_config().optimistic)
-            pess = std::unique_lock(s.fallback_mutex);
         int retries = 0;
         while (true) {
             tx_begin(/*read_only=*/true);

@@ -13,20 +13,13 @@
 //
 // Concurrency matches the paper's PMDK setup exactly (§6.1): a
 // std::shared_timed_mutex with the platform's default reader preference
-// wraps every transaction.  On top of that, small disjoint update
-// transactions may take the stripe-locked speculative fast path (DESIGN.md
-// §4.11): the speculation holds the mutex *shared* (excluding slow-path
-// writers without serializing against other speculations), buffers its
-// write set, and commits durably with per-run undo logging under per-line
-// stripe try-locks — so recovery is the unchanged backward log replay.
+// wraps every transaction.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <new>
 #include <shared_mutex>
 #include <stdexcept>
@@ -38,11 +31,6 @@
 #include "core/persist.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/region.hpp"
-#include "sync/crwwp.hpp"
-#include "sync/seqlock.hpp"
-#include "sync/spinlock.hpp"
-#include "sync/stripe_lock.hpp"
-#include "sync/thread_registry.hpp"
 
 namespace romulus::baselines {
 
@@ -60,20 +48,24 @@ class UndoLogPTM {
         if (s.initialized) throw std::runtime_error("UndoLogPTM: double init");
         size_t size = heap_bytes ? heap_bytes : default_heap_bytes();
         size = (size + 4095) & ~size_t{4095};
+        // The log area scales with the region (1/8th, >= 1 MiB) so small
+        // test heaps work and huge transactions (Fig. 6 resizes) still fit.
+        // Check the size before mapping: map() resizes an existing file.
+        const size_t log_bytes = size / 8 < (1u << 20) ? (1u << 20) : size / 8;
+        const size_t reserved = kHeaderReserved + log_bytes;
+        if (size < reserved + (size_t{1} << 20))
+            throw std::invalid_argument(
+                "UndoLogPTM: heap too small: undo log + header need " +
+                std::to_string(reserved) + " bytes plus >=1 MiB of heap");
         std::string path =
             file.empty() ? pmem::default_pmem_dir() + "/undolog.heap" : file;
         bool created = s.region.map(path, size, kBaseAddr);
 
-        // The log area scales with the region (1/8th, >= 1 MiB) so small
-        // test heaps work and huge transactions (Fig. 6 resizes) still fit.
-        size_t log_bytes = size / 8 < (1u << 20) ? (1u << 20) : size / 8;
         s.log_capacity = log_bytes / sizeof(LogEntry);
         s.header = reinterpret_cast<UHeader*>(s.region.base());
         s.log = reinterpret_cast<LogEntry*>(s.region.base() + kHeaderReserved);
-        s.heap = s.region.base() + kHeaderReserved + log_bytes;
-        s.heap_size = size - kHeaderReserved - log_bytes;
-        if (size < kHeaderReserved + log_bytes + (1u << 20))
-            throw std::runtime_error("UndoLogPTM: heap too small");
+        s.heap = s.region.base() + reserved;
+        s.heap_size = size - reserved;
         s.meta = reinterpret_cast<HeapMeta*>(s.heap);
 
         if (!created && s.header->magic.load() == kMagic &&
@@ -83,7 +75,6 @@ class UndoLogPTM {
             format();
         }
         s.alloc.attach(&s.meta->alloc_meta, pool_base(), pool_size());
-        s.stripes.resize(update_config().stripes);
         ROMULUS_RACE_REGISTER_REGION(s.heap, s.heap_size, "UndoLog", "heap",
                                      nullptr);
         s.initialized = true;
@@ -105,10 +96,6 @@ class UndoLogPTM {
 
     template <typename T>
     static void pstore(T* addr, const T& val) {
-        if (tl.fp_active) {
-            fp_store(addr, &val, sizeof(T));
-            return;
-        }
         if (in_heap(addr) && tl.tx_depth > 0) {
             log_range(addr, sizeof(T));  // entry persisted + fence
             *addr = val;
@@ -127,34 +114,12 @@ class UndoLogPTM {
 
     template <typename T>
     static T pload(const T* addr) {
-        if (tl.fp_active) {
-            // Speculation: the write set buffers stores, so loads must
-            // consult it; unbuffered lines are stripe-validated.
-            T v;
-            fp_load(&v, addr, sizeof(T));
-            return v;
-        }
         T v = *addr;  // undo log mutates in place: no load redirection
-        if (tl.opt_active) {
-            // Seqlock fast path: per-load validation, exactly as in the
-            // Romulus engines (DESIGN.md §4.9) — a torn value is rejected
-            // before the closure can use it.
-            if (!s.seq.validate(tl.opt_seq)) throw sync::OptimisticAbort{};
-            if (!ROMULUS_RACE_OPTIMISTIC_READ(&s.seq, addr, sizeof(T),
-                                              tl.opt_seq, s.seq.word(),
-                                              "seqlock.validate"))
-                throw sync::OptimisticAbort{};
-            return v;
-        }
         ROMULUS_RACE_READ(addr, sizeof(T));
         return v;
     }
 
     static void store_range(void* dst, const void* src, size_t n) {
-        if (tl.fp_active) {
-            fp_store(dst, src, n);
-            return;
-        }
         if (in_heap(dst) && tl.tx_depth > 0) log_range(dst, n);
         std::memcpy(dst, src, n);
         ROMULUS_RACE_WRITE(dst, n);
@@ -165,17 +130,6 @@ class UndoLogPTM {
     }
 
     static void zero_range(void* dst, size_t n) {
-        if (tl.fp_active) {
-            static constexpr uint8_t kZeros[pmem::kCacheLineSize] = {};
-            uint8_t* p = static_cast<uint8_t*>(dst);
-            while (n > 0) {
-                const size_t take = std::min(n, sizeof(kZeros));
-                fp_store(p, kZeros, take);
-                p += take;
-                n -= take;
-            }
-            return;
-        }
         if (in_heap(dst) && tl.tx_depth > 0) log_range(dst, n);
         std::memset(dst, 0, n);
         ROMULUS_RACE_WRITE(dst, n);
@@ -186,12 +140,6 @@ class UndoLogPTM {
     }
 
     static void note_used(const void* end) {
-        // The fast path never allocates from the heap (alloc_bytes dooms
-        // and serves scratch first): leave the header untouched.
-        if (tl.fp_active) {
-            fp_doom();
-            return;
-        }
         uint64_t off = static_cast<const uint8_t*>(end) - s.heap;
         if (off > s.header->used_size.load(std::memory_order_relaxed)) {
             s.header->used_size.store(off, std::memory_order_relaxed);
@@ -207,14 +155,6 @@ class UndoLogPTM {
         if (tl.tx_depth > 0) {
             f();
             return;
-        }
-        // Stripe-locked speculative fast path (DESIGN.md §4.11): commit
-        // small disjoint updates without the exclusive mutex hold.  Any
-        // abort (conflict, footprint overflow, allocation) falls through to
-        // the pessimistic slow path below and re-runs the closure.
-        if (update_config().fastpath) {
-            if (try_fastpath_update(f)) return;
-            pmem::tl_commit_stats().fastpath_fallbacks++;
         }
         std::unique_lock lk(s.mutex);
         ROMULUS_RACE_ACQUIRE(&s.mutex, "undo.write_lock");
@@ -235,25 +175,13 @@ class UndoLogPTM {
 
     template <typename F>
     static void readTx(F&& f) {
-        if (tl.tx_depth > 0 || tl.opt_active) {  // flat nesting
+        if (tl.tx_depth > 0) {
             f();
             return;
         }
-        // Seqlock fast path (DESIGN.md §4.9): the writer bumps s.seq around
-        // its logging window; a speculative reader waits out an open window
-        // and takes the shared mutex only after max_attempts runs that a
-        // writer invalidated mid-flight.
-        if (read_config().optimistic &&
-            sync::optimistic_read(s.seq, tl.opt_active, tl.opt_seq,
-                                  read_config().max_attempts, tl_read_stats(),
-                                  f))
-            return;
         std::shared_lock lk(s.mutex);
         ROMULUS_RACE_ACQUIRE(&s.mutex, "undo.read_lock");
         ROMULUS_RACE_SCOPED_RELEASE(&s.mutex, "undo.read_unlock");
-        // Fast-path committers hold the mutex only shared, so pessimistic
-        // readers additionally exclude their durable apply via fp_gate.
-        FpGateGuard gate;
         ROMULUS_RACE_SCOPED_TX("read-tx");
         f();
     }
@@ -305,26 +233,12 @@ class UndoLogPTM {
         free_bytes(obj);
     }
     static void* alloc_bytes(size_t n) {
-        // Allocator metadata is not striped: doom the speculation (never
-        // throw — this can sit beneath a noexcept frame) and serve volatile
-        // scratch memory so the closure can finish; the slow-path re-run
-        // performs the real allocation.
-        if (tl.fp_active) {
-            fp_doom();
-            return tl_fp().scratch_alloc(n);
-        }
         assert(tl.tx_depth > 0);
         void* ptr = s.alloc.alloc(n);
         if (ptr == nullptr) throw std::bad_alloc();
         return ptr;
     }
     static void free_bytes(void* ptr) {
-        // tmDelete is routinely reached from noexcept destructors: doom and
-        // drop the free, the slow-path re-run performs the real one.
-        if (tl.fp_active) {
-            fp_doom();
-            return;
-        }
         assert(tl.tx_depth > 0);
         if (ptr != nullptr) s.alloc.free(ptr);
     }
@@ -358,20 +272,8 @@ class UndoLogPTM {
     static uint8_t* log_base() { return reinterpret_cast<uint8_t*>(s.log); }
     static size_t log_size() { return s.log_capacity * sizeof(LogEntry); }
 
-    /// Test hook: the optimistic-read sequence word (DESIGN.md §4.9),
-    /// exposed so fixtures can simulate a writer window without a thread.
-    static sync::SeqLock& seq_for_tests() { return s.seq; }
-
-    /// Test hook: the speculative fast path's stripe table (DESIGN.md §4.11).
-    static sync::StripeLockTable& stripes_for_tests() { return s.stripes; }
-
     /// Test hook: clear transaction thread-locals after a simulated crash.
-    static void crash_reset_for_tests() {
-        tl = TlState{};
-        s.seq.set_for_tests(0);  // a crash mid-tx left the window odd
-        s.stripes.reset_for_tests();  // stripe words are volatile
-        new (&s.fp_gate) sync::CRWWPLock();
-    }
+    static void crash_reset_for_tests() { tl = TlState{}; }
 
     /// Crash recovery: an interrupted transaction left entries in the log;
     /// apply them in reverse to restore the pre-transaction state.
@@ -423,12 +325,6 @@ class UndoLogPTM {
         HeapMeta* meta = nullptr;
         Alloc alloc;
         std::shared_timed_mutex mutex;
-        sync::SeqLock seq;  // optimistic-read window (DESIGN.md §4.9)
-        // Speculative update fast path (DESIGN.md §4.11): per-line versioned
-        // try-locks plus the gate that serializes fast-path durable applies
-        // against each other and against pessimistic readers.
-        sync::StripeLockTable stripes;
-        sync::CRWWPLock fp_gate;
         bool initialized = false;
     };
     static State s;
@@ -436,176 +332,8 @@ class UndoLogPTM {
     struct TlState {
         int tx_depth = 0;
         uint64_t entries_this_tx = 0;
-        bool opt_active = false;  ///< inside a seqlock-validated read attempt
-        uint64_t opt_seq = 0;     ///< the attempt's sequence snapshot
-        bool fp_active = false;   ///< inside a speculative update (§4.11)
     };
     static thread_local TlState tl;
-
-    /// RAII fp_gate shared hold for pessimistic readers (only taken when the
-    /// fast path can actually commit concurrently with a shared mutex hold).
-    struct FpGateGuard {
-        const bool on = update_config().fastpath;
-        const int t = sync::tid();
-        FpGateGuard() {
-            if (on) s.fp_gate.read_lock(t);
-        }
-        ~FpGateGuard() {
-            if (on) s.fp_gate.read_unlock(t);
-        }
-    };
-
-    // --- speculative update fast path (DESIGN.md §4.11) --------------------
-    //
-    // Same protocol as RomulusEngine::try_fastpath_update over the single
-    // global heap: speculate under a *shared* mutex hold (excludes slow-path
-    // writers, who mutate the heap unstriped under the exclusive hold),
-    // buffer the write set in a sync::SpecBuffer with stripe-validated
-    // loads, then commit durably under per-line stripe try-locks.  The
-    // durable apply undo-logs each coalesced run before storing it in place
-    // and truncates the log at the end — so a torn fast-path commit recovers
-    // through the unchanged backward log replay.
-
-    static sync::SpecBuffer& tl_fp() {
-        static thread_local sync::SpecBuffer fp;
-        return fp;
-    }
-
-    static void fp_doom() { sync::spec_doom(tl_fp()); }
-
-    static void fp_store(void* addr, const void* src, size_t n) {
-        if (in_heap(addr)) {
-            sync::spec_store(tl_fp(), s.stripes, s.heap,
-                             static_cast<uint8_t*>(addr) - s.heap, src, n);
-            return;
-        }
-        // Header/log writes are not stripe-guarded: doom the speculation
-        // and drop the store (the slow-path re-run performs the real one).
-        // Volatile test objects outside the region get the plain store.
-        if (s.initialized && s.region.contains(addr)) {
-            fp_doom();
-            return;
-        }
-        std::memcpy(addr, src, n);
-        ROMULUS_RACE_WRITE(addr, n);
-    }
-
-    static void fp_load(void* dst, const void* src, size_t n) {
-        if (in_heap(src)) {
-            sync::spec_load(tl_fp(), s.stripes, s.heap,
-                            static_cast<const uint8_t*>(src) - s.heap, dst,
-                            n);
-            return;
-        }
-        std::memcpy(dst, src, n);
-    }
-
-    template <typename F>
-    static bool try_fastpath_update(F& f) {
-        std::shared_lock lk(s.mutex, std::try_to_lock);
-        if (!lk.owns_lock()) return false;  // slow-path writer active
-        ROMULUS_RACE_ACQUIRE(&s.mutex, "undo.read_lock");
-        ROMULUS_RACE_SCOPED_RELEASE(&s.mutex, "undo.read_unlock");
-        sync::SpecBuffer& fp = tl_fp();
-        const UpdateConfig& cfg = update_config();
-        fp.begin(cfg.max_fastpath_lines, cfg.max_read_stripes,
-                 s.stripes.clock_now());
-        tl.tx_depth = 1;  // nested updateTx/put_object contracts hold
-        tl.fp_active = true;
-        ROMULUS_RACE_TX_BEGIN("update-tx(fp)");
-        bool ok;
-        try {
-            f();
-            ok = !fp.aborted;
-        } catch (...) {
-            // Genuine user exception (speculation aborts never throw):
-            // nothing was applied, so only surface it off an undoomed,
-            // still-valid read set — otherwise retry on the slow path
-            // instead of raising a phantom.
-            const bool consistent =
-                !fp.aborted &&
-                sync::spec_reads_valid(fp, s.stripes, nullptr, 0);
-            tl.fp_active = false;
-            tl.tx_depth = 0;
-            ROMULUS_RACE_TX_END();
-            pmem::tl_commit_stats().fastpath_aborts++;
-            if (consistent) {
-                // The surfaced exception IS an aborted transaction from the
-                // caller's (and the persistency checker's) point of view:
-                // nothing was applied, but the lifecycle must stay visible.
-                tx_begin_hook();
-                tx_abort_hook();
-                throw;
-            }
-            return false;
-        }
-        tl.fp_active = false;  // apply uses explicit primitives, not pstore
-        if (ok) ok = fastpath_commit();
-        tl.tx_depth = 0;
-        ROMULUS_RACE_TX_END();
-        auto& cs = pmem::tl_commit_stats();
-        if (ok) {
-            cs.fastpath_commits++;
-        } else {
-            cs.fastpath_aborts++;
-        }
-        return ok;
-    }
-
-    static bool fastpath_commit() {
-        sync::SpecBuffer& fp = tl_fp();
-        if (fp.nw == 0) return true;  // validated read-only closure
-        unsigned order[sync::SpecBuffer::kLineCap];
-        sync::StripeLockTable::Word pre[sync::SpecBuffer::kLineCap];
-        unsigned ns = 0;
-        if (!sync::spec_lock_write_set(fp, s.stripes, order, pre, &ns))
-            return false;
-        const uint64_t wv = s.stripes.clock_advance();
-        fp_apply();
-        for (unsigned j = 0; j < ns; ++j) s.stripes.release(order[j], wv);
-        return true;
-    }
-
-    /// Durable apply of the validated write set.  fp_gate.write serializes
-    /// concurrent fast-path committers and excludes pessimistic readers, so
-    /// the seqlock window and the undo log keep their single-writer contract
-    /// (slow-path writers are already excluded by the shared mutex hold).
-    static void fp_apply() {
-        sync::SpecBuffer& fp = tl_fp();
-        s.fp_gate.write_lock();
-        tl.entries_this_tx = 0;
-        tx_begin_hook();
-        s.seq.write_enter();
-        ROMULUS_RACE_ACQUIRE(&s.seq, "seqlock.write_enter");
-        // The write set arrives sorted by offset (spec_lock_write_set):
-        // coalesce adjacent lines into maximal runs so each run pays one
-        // log_range fence pair instead of one per store like the slow path.
-        for (unsigned i = 0; i < fp.nw;) {
-            const uint64_t off = fp.wlines[i].line_off;
-            uint64_t len = sync::SpecBuffer::kLineSize;
-            unsigned j = i + 1;
-            while (j < fp.nw && fp.wlines[j].line_off == off + len) {
-                len += sync::SpecBuffer::kLineSize;
-                ++j;
-            }
-            uint8_t* dst = s.heap + off;
-            log_range(dst, len);  // undo entries persisted + fenced
-            for (unsigned k = i; k < j; ++k)
-                std::memcpy(s.heap + fp.wlines[k].line_off, fp.wlines[k].data,
-                            sync::SpecBuffer::kLineSize);
-            ROMULUS_RACE_WRITE(dst, len);
-            pmem::on_store(dst, len);
-            pmem::pwb_range(dst, len);
-            i = j;
-        }
-        pmem::pfence();  // all in-place pwbs complete before truncation
-        truncate_log();
-        pmem::psync();  // durability point: all of the write set or none
-        ROMULUS_RACE_RELEASE(&s.seq, "seqlock.write_exit");
-        s.seq.write_exit();
-        tx_commit_hook();
-        s.fp_gate.write_unlock();
-    }
 
     static bool in_heap(const void* ptr) {
         auto u = reinterpret_cast<uintptr_t>(ptr);
@@ -660,11 +388,6 @@ class UndoLogPTM {
     static void begin_tx_body() {
         tl.entries_this_tx = 0;
         tx_begin_hook();
-        // Open the optimistic-read window before the first in-place store
-        // can become visible (the undo log mutates the live heap mid-tx, so
-        // the whole transaction body is the readers' exclusion window).
-        s.seq.write_enter();
-        ROMULUS_RACE_ACQUIRE(&s.seq, "seqlock.write_enter");
         ROMULUS_RACE_TX_BEGIN("update-tx");
     }
 
@@ -676,10 +399,6 @@ class UndoLogPTM {
         pmem::pfence();  // all in-place pwbs complete before truncation
         truncate_log();
         pmem::psync();
-        // Close the window only after the commit psync: a validated
-        // speculative reader has read durable, committed state.
-        ROMULUS_RACE_RELEASE(&s.seq, "seqlock.write_exit");
-        s.seq.write_exit();
         tx_commit_hook();
         ROMULUS_RACE_TX_END();
     }
@@ -696,10 +415,6 @@ class UndoLogPTM {
         pmem::pfence();
         truncate_log();
         pmem::psync();
-        // The rollback stores above mutate the heap: the window stays odd
-        // until the pre-transaction state is fully restored.
-        ROMULUS_RACE_RELEASE(&s.seq, "seqlock.write_exit");
-        s.seq.write_exit();
         tx_abort_hook();
         ROMULUS_RACE_TX_END();
     }

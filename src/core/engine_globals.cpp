@@ -107,12 +107,6 @@ std::string apply_env_tuning() {
         pmem::commit_config().nt_threshold = static_cast<size_t>(n);
         os << "ROMULUS_NT_THRESHOLD=" << n << " ";
     }
-    env_long("ROMULUS_COMBINE_RESCANS", 0, [](long n) {
-        pmem::commit_config().combine_rescans = static_cast<unsigned>(n);
-    });
-    env_long("ROMULUS_COMBINE_WAIT_US", 0, [](long n) {
-        pmem::commit_config().combine_wait_us = static_cast<unsigned>(n);
-    });
     env_long("ROMULUS_UPDATE_FASTPATH", 0,
              [](long n) { update_config().fastpath = n != 0; });
     env_long("ROMULUS_UPDATE_MAX_LINES", 1, [](long n) {

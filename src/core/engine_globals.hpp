@@ -71,9 +71,6 @@ struct UpdateConfig {
     /// write set grows past this aborts to the slow path (large writers
     /// amortize the shard lock fine; the fast path targets small updates).
     unsigned max_fastpath_lines = 8;
-    /// Read-set cap in stripe observations; past this the speculation
-    /// aborts (validation cost would grow past what the slow path charges).
-    unsigned max_read_stripes = 64;
     /// Stripe count per shard (rounded up to a power of two at engine
     /// init).  More stripes = fewer false conflicts, more volatile memory.
     unsigned stripes = 1024;
@@ -106,8 +103,6 @@ bool env_to_long(const char* name, long lo, long* out);
 ///   ROMULUS_COMMIT_COALESCE=0|1      CommitConfig::coalesce
 ///   ROMULUS_NT_THRESHOLD=<bytes>     CommitConfig::nt_threshold
 ///                                    (18446744073709551615: never stream)
-///   ROMULUS_COMBINE_RESCANS=<n>      CommitConfig::combine_rescans
-///   ROMULUS_COMBINE_WAIT_US=<us>     CommitConfig::combine_wait_us
 ///   ROMULUS_UPDATE_FASTPATH=0|1     UpdateConfig::fastpath
 ///   ROMULUS_UPDATE_MAX_LINES=<n>    UpdateConfig::max_fastpath_lines (>= 1)
 ///   ROMULUS_UPDATE_STRIPES=<n>      UpdateConfig::stripes (>= 1)

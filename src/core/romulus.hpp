@@ -32,14 +32,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "alloc/pallocator.hpp"
@@ -1249,8 +1247,7 @@ class RomulusEngine {
         if (!sh.rwlock.try_read_lock(t)) return false;  // slow writer active
         FpTx& fp = tl_fp();
         const UpdateConfig& cfg = update_config();
-        fp.begin(cfg.max_fastpath_lines, cfg.max_read_stripes,
-                 sh.stripes.clock_now());
+        fp.begin(cfg.max_fastpath_lines, sh.stripes.clock_now());
         tl.shard = shard_id;
         tl.tx_depth = 1;  // nested updateTx/readTx/put_object contracts hold
         tl.fp_active = true;
@@ -1463,27 +1460,11 @@ class RomulusEngine {
                 return newly;
             };
             drain();
-            // Re-scan window: operations announced while the first batch
+            // One re-scan: operations announced while the first batch
             // executed join the same durable transaction instead of paying
-            // their own MUT/CPY fence pair — bounded so the combiner's own
-            // latency stays bounded under a steady announce stream.
-            for (unsigned r = pmem::commit_config().combine_rescans; r > 0;
-                 --r) {
-                if (drain() == 0) break;
-            }
-            // Bounded batch-wait (ROADMAP item 1): hold the MUT window open
-            // up to combine_wait_us for stragglers — an announcement landing
-            // before the deadline joins this durable batch instead of paying
-            // its own MUT/CPY fence pair.  Wall-clock bounded, so combiner
-            // latency stays bounded; 0 (default) keeps the classic close.
-            if (const unsigned wait_us = pmem::commit_config().combine_wait_us;
-                wait_us != 0) {
-                const auto deadline = std::chrono::steady_clock::now() +
-                                      std::chrono::microseconds(wait_us);
-                do {
-                    if (drain() == 0) std::this_thread::yield();
-                } while (std::chrono::steady_clock::now() < deadline);
-            }
+            // their own MUT/CPY fence pair.  A single pass keeps the
+            // combiner's own latency bounded under a steady announce stream.
+            drain();
         } catch (...) {
             // An announced operation threw (e.g. heap exhaustion): roll the
             // whole combined transaction back — back still holds the

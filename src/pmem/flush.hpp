@@ -103,19 +103,6 @@ struct CommitConfig {
     /// cached stores + per-line pwb.  NT stores bypass the cache, so tiny
     /// hot runs are better left cacheable.
     size_t nt_threshold = 4 * kCacheLineSize;
-    /// Extra flat-combining scans a combiner runs before committing:
-    /// operations announced while the previous scan executed join the same
-    /// durable transaction (one MUT/CPY fence pair for the whole batch).
-    /// 0 restores the single-scan combiner; each re-scan is bounded by the
-    /// announce-slot count, so combiner latency stays bounded.
-    unsigned combine_rescans = 1;
-    /// Bounded batch-wait (cortx-motr be/tx_group style): after the re-scans
-    /// run dry, the combiner holds its MUT window open up to this many
-    /// microseconds, re-draining whenever stragglers announce, so
-    /// overlapping writers join one durable batch instead of each paying a
-    /// full MUT/CPY fence pair.  0 (default) closes the window immediately;
-    /// the wait is wall-clock-bounded so combiner latency stays bounded.
-    unsigned combine_wait_us = 0;
 };
 CommitConfig& commit_config();
 

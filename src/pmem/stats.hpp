@@ -81,8 +81,8 @@ struct CommitStats {
     /// Flat-combining batch-size histogram: bucket b counts combined
     /// transactions whose batch held (2^(b-1), 2^b] announced operations
     /// (bucket 0 = singletons, bucket 7 = everything above 64).  Shows how
-    /// much fence amortisation the combiner — including its re-scan window
-    /// (CommitConfig::combine_rescans) — actually delivered.
+    /// much fence amortisation the combiner — including its re-scan —
+    /// actually delivered.
     uint64_t combine_hist[8] = {};
 
     void note_combine_batch(unsigned ops) {

@@ -164,7 +164,9 @@ class StripeLockTable {
 /// the speculation.
 struct SpecBuffer {
     static constexpr unsigned kLineCap = 64;   ///< hard footprint bound
-    static constexpr unsigned kReadCap = 256;  ///< hard read-set bound
+    /// Read-set bound in stripe observations; past it the speculation is
+    /// doomed (validation would cost more than the slow path charges).
+    static constexpr unsigned kReadCap = 64;
     static constexpr size_t kLineSize = 64;
     struct WLine {
         uint64_t line_off;  ///< line-aligned byte offset into the heap area
@@ -179,7 +181,7 @@ struct SpecBuffer {
     WLine wlines[kLineCap];
     Observed rset[kReadCap];
     unsigned nw = 0, nr = 0;
-    unsigned wcap = 0, rcap = 0;
+    unsigned wcap = 0;
     uint64_t rv = 0;       ///< fast-path clock snapshot at speculation start
     bool aborted = false;  ///< doomed: running to completion, will not commit
 
@@ -196,10 +198,9 @@ struct SpecBuffer {
                                        ~uintptr_t{kLineSize - 1});
     }
 
-    void begin(unsigned max_lines, unsigned max_reads, uint64_t read_version) {
+    void begin(unsigned max_lines, uint64_t read_version) {
         nw = nr = 0;
         wcap = max_lines < kLineCap ? max_lines : kLineCap;
-        rcap = max_reads < kReadCap ? max_reads : kReadCap;
         rv = read_version;
         aborted = false;
         scratch.clear();
@@ -215,7 +216,7 @@ struct SpecBuffer {
     bool record_read(unsigned stripe, uint64_t word) {
         for (unsigned i = 0; i < nr; ++i)
             if (rset[i].stripe == stripe) return true;
-        if (nr >= rcap) return false;
+        if (nr >= kReadCap) return false;
         rset[nr] = Observed{stripe, word};
         ++nr;
         return true;

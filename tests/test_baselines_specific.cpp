@@ -1,10 +1,13 @@
-// Behaviour specific to the two baseline PTMs: the undo log's ordering and
-// overflow handling, and the redo-log STM's conflict detection, abort
-// accounting, opacity, and commit-marker replay.
+// Behaviour specific to the two baseline PTMs: the undo log's ordering,
+// overflow handling and init size check, the redo-log STM's conflict
+// detection, abort accounting, opacity, and commit-marker replay, and the
+// single commit path both share with the paper's comparators.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "ptm_types.hpp"
@@ -21,15 +24,10 @@ class UndoLogTest : public ::testing::Test {
   protected:
     void SetUp() override {
         pmem::set_profile(pmem::Profile::NOP);
-        // These tests document the undo log's *slow-path* cost model
-        // (per-store entries and fences): pin the speculative fast path off
-        // so small transactions don't commit through the stripe path.
-        update_config().fastpath = false;
         session_ =
             std::make_unique<EngineSession<UndoLogPTM>>(32u << 20, "undospec");
     }
     void TearDown() override { session_.reset(); }
-    romulus::test::UpdateConfigGuard update_guard_;
     std::unique_ptr<EngineSession<UndoLogPTM>> session_;
 };
 
@@ -72,6 +70,31 @@ TEST_F(UndoLogTest, RangedStoreLogsOldContentWordWise) {
     UndoLogPTM::store_range(buf, b.data(), 64);
     UndoLogPTM::abort_transaction();  // undo restores the 0xAA content
     for (int i = 0; i < 64; ++i) ASSERT_EQ(buf[i], 0xAA) << i;
+}
+
+// A too-small init must fail before it touches the file: mapping resizes
+// an existing heap, so the size check has to run first.
+TEST(UndoLogInit, TooSmallHeapLeavesTheExistingFileIntact) {
+    pmem::set_profile(pmem::Profile::NOP);
+    constexpr size_t kBytes = 8u << 20;
+    EngineSession<UndoLogPTM> session(kBytes, "undo_small_init");
+    using PU = UndoLogPTM::p<uint64_t>;
+    UndoLogPTM::updateTx([&] {
+        PU* x = UndoLogPTM::tmNew<PU>();
+        *x = 77u;
+        UndoLogPTM::put_object(0, x);
+    });
+    UndoLogPTM::close();
+
+    EXPECT_THROW(UndoLogPTM::init(1u << 20, session.path),
+                 std::invalid_argument);
+    EXPECT_FALSE(UndoLogPTM::initialized());
+    EXPECT_EQ(std::filesystem::file_size(session.path), kBytes);
+
+    UndoLogPTM::init(kBytes, session.path);  // reopen: recover, not format
+    uint64_t got = 0;
+    UndoLogPTM::readTx([&] { got = UndoLogPTM::get_object<PU>(0)->pload(); });
+    EXPECT_EQ(got, 77u);
 }
 
 // ----------------------------------------------------------------- redo log
@@ -214,4 +237,84 @@ TEST_F(RedoLogTest, OversizeTransactionIsRejectedCleanly) {
         RedoLogPTM::store_range(buf, big.data(), 256);
     });
     EXPECT_EQ(buf[0], 0x11);
+}
+
+// ---------------------------------------------------------- both baselines
+//
+// The baselines model the paper's PMDK and Mnemosyne comparators (§6.1):
+// one commit path each, with no Romulus fast path or seqlock read path.
+// With the Romulus knobs at their defaults (both on), closures still run
+// once and the Romulus path counters never move.
+
+template <typename E>
+class BaselineCommitPath : public ::testing::Test {
+  protected:
+    void SetUp() override {
+        pmem::set_profile(pmem::Profile::NOP);
+        session_ = std::make_unique<EngineSession<E>>(
+            48u << 20, std::string("baseline_path_") + E::name());
+    }
+    void TearDown() override { session_.reset(); }
+    std::unique_ptr<EngineSession<E>> session_;
+};
+
+using BaselinePtms = ::testing::Types<UndoLogPTM, RedoLogPTM>;
+TYPED_TEST_SUITE(BaselineCommitPath, BaselinePtms);
+
+TYPED_TEST(BaselineCommitPath, ClosuresRunOnceOffTheRomulusPaths) {
+    using E = TypeParam;
+    using PU = typename E::template p<uint64_t>;
+    ASSERT_TRUE(update_config().fastpath);
+    ASSERT_TRUE(read_config().optimistic);
+    pmem::reset_tl_commit_stats();
+    reset_tl_read_stats();
+
+    // 1. An allocating update closure runs exactly once.
+    int runs = 0;
+    PU* x = nullptr;
+    E::updateTx([&] {
+        ++runs;
+        x = E::template tmNew<PU>();
+        *x = 5u;
+        E::put_object(0, x);
+    });
+    EXPECT_EQ(runs, 1);
+
+    // 2. One update plus one read leave the Romulus path counters at 0.
+    uint64_t got = 0;
+    E::readTx([&] { got = x->pload(); });
+    EXPECT_EQ(got, 5u);
+    const pmem::CommitStats& cs = pmem::tl_commit_stats();
+    EXPECT_EQ(cs.fastpath_commits, 0u);
+    EXPECT_EQ(cs.fastpath_aborts, 0u);
+    EXPECT_EQ(cs.fastpath_fallbacks, 0u);
+    EXPECT_EQ(cs.fastpath_batches, 0u);
+    const ReadStats& rs = tl_read_stats();
+    EXPECT_EQ(rs.opt_commits, 0u);
+    EXPECT_EQ(rs.opt_waits, 0u);
+    EXPECT_EQ(rs.opt_aborts, 0u);
+    EXPECT_EQ(rs.fallbacks, 0u);
+    EXPECT_EQ(rs.opt_exception_exits, 0u);
+
+    // 3. An update that stores and then throws propagates the exception
+    // and leaves the old value.
+    struct Boom {};
+    EXPECT_THROW(E::updateTx([&] {
+        *x = 6u;
+        throw Boom{};
+    }),
+                 Boom);
+    E::readTx([&] { got = x->pload(); });
+    EXPECT_EQ(got, 5u);
+
+    // 4. A read closure that throws propagates, and the next update
+    // completes (no lock or transaction state is left behind).
+    EXPECT_THROW(E::readTx([&] {
+        (void)x->pload();
+        throw Boom{};
+    }),
+                 Boom);
+    E::updateTx([&] { *x = 7u; });
+    E::readTx([&] { got = x->pload(); });
+    EXPECT_EQ(got, 7u);
 }

@@ -5,7 +5,8 @@
 //    seeded histories, every enumerated crash image recovered and
 //    model-checked, zero violations expected — the crash-consistency
 //    regression net that runs on every ctest invocation.
-//  * Fork-mode smoke: the same oracle across real fork-and-_exit crashes.
+//  * Fork-mode smoke: the same oracle across real fork-and-_exit crashes,
+//    and sigkill mode: children SIGKILLed right after a drawn store.
 //  * Planted bug: arming the elide-commit-fence protocol mutation
 //    (-DROMULUS_PERSISTGRAPH builds) must produce an image-oracle violation
 //    within a bounded number of histories — and the silent control (same
@@ -68,7 +69,19 @@ TYPED_TEST(RomfuzzSmoke, ForkCrashesRecoverConsistently) {
     ForkResult fr = harness.run_fork(trace, /*crashes=*/2, /*rng_seed=*/3);
     EXPECT_TRUE(fr.ok()) << E::name() << ": "
                          << (fr.failures.empty() ? "?" : fr.failures[0]);
-    EXPECT_GT(fr.fences_total, 0u);
+    EXPECT_GT(fr.points_total, 0u);
+    EXPECT_EQ(fr.crashes, 2u);
+}
+
+TYPED_TEST(RomfuzzSmoke, SigkillCrashesRecoverConsistently) {
+    using E = TypeParam;
+    FuzzHarness<E> harness(smoke_cfg("romfuzz_sigkill", 2));
+    const TxTrace trace = harness.generate(5);
+    ForkResult fr = harness.run_fork(trace, /*crashes=*/2, /*rng_seed=*/5,
+                                     CrashPoint::kStore);
+    EXPECT_TRUE(fr.ok()) << E::name() << ": "
+                         << (fr.failures.empty() ? "?" : fr.failures[0]);
+    EXPECT_GT(fr.points_total, 0u);
     EXPECT_EQ(fr.crashes, 2u);
 }
 

@@ -18,7 +18,7 @@ inline std::string heap_path(const std::string& tag) {
 }
 
 /// RAII: save/restore the speculative-fast-path knobs.  Tests that assert
-/// slow-path mechanics (per-store log entries, Table-1 fence counts, checker
+/// slow-path mechanics of the Romulus engines (Table-1 fence counts, checker
 /// event sequences) construct one and set `update_config().fastpath = false`.
 struct UpdateConfigGuard {
     UpdateConfig saved = update_config();

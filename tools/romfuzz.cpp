@@ -15,25 +15,28 @@
 //     fences (the test_crash_fork machinery); the parent recovers the shared
 //     heap and runs the same oracle, with the child's reported commit count
 //     tightening the admissible window.
+//   * sigkill mode — as fork mode, but each child raise()s SIGKILL right
+//     after a randomly drawn store, so deaths also land between fences.
 //
 // Every failure emits a self-contained repro bundle — the trace file carries
 // the seed, the op log, the access log, and the explore parameters + cut id
-// (or fence) that failed — which `romfuzz --replay FILE` re-executes
-// deterministically, byte-for-byte (the access-log digest is compared).
+// (or fence, or store) that failed — which `romfuzz --replay FILE`
+// re-executes deterministically, byte-for-byte (the access-log digest is
+// compared).
 //
 //   romfuzz [--engine all|nl|log|lr|undo|redo] [--shards 1,4] [--iters N]
-//           [--seed N] [--mode explore|fork|both] [--ops N] [--setup N]
-//           [--keys N] [--value-max N] [--batch-ops N] [--readers N]
-//           [--budget N] [--window-samples N] [--exhaustive-cap N]
-//           [--fork-crashes N] [--heap-mb N] [--out DIR]
+//           [--seed N] [--mode explore|fork|sigkill|both] [--ops N]
+//           [--setup N] [--keys N] [--value-max N] [--batch-ops N]
+//           [--readers N] [--budget N] [--window-samples N]
+//           [--exhaustive-cap N] [--fork-crashes N] [--heap-mb N] [--out DIR]
 //           [--mutate none|elide-fence|reorder-state] [--expect-violations]
 //           [--replay FILE]
 //
 // Exit status: 0 when every history is clean (or, with --expect-violations,
 // when at least one violation was found and its bundle written), 1
-// otherwise, 2 on usage errors.  ReadConfig/CommitConfig knobs are seeded
-// from ROMULUS_* environment variables (apply_env_tuning), so CI legs sweep
-// optimistic-on/off and combine_rescans without recompiling.
+// otherwise, 2 on usage errors.  ReadConfig/UpdateConfig/CommitConfig knobs
+// are seeded from ROMULUS_* environment variables (apply_env_tuning), so a
+// CI leg can pin the stripe fast path on without recompiling.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -79,8 +82,8 @@ struct Cli {
     if (!err.empty()) std::cerr << "romfuzz: " << err << "\n";
     std::cerr
         << "usage: romfuzz [--engine all|nl|log|lr|undo|redo] [--shards 1,4]"
-           " [--iters N] [--seed N] [--mode explore|fork|both] [--ops N]"
-           " [--setup N] [--keys N] [--value-max N] [--batch-ops N]"
+           " [--iters N] [--seed N] [--mode explore|fork|sigkill|both]"
+           " [--ops N] [--setup N] [--keys N] [--value-max N] [--batch-ops N]"
            " [--readers N] [--budget N] [--window-samples N]"
            " [--exhaustive-cap N] [--fork-crashes N] [--heap-mb N]"
            " [--out DIR] [--mutate none|elide-fence|reorder-state]"
@@ -161,10 +164,13 @@ void run_engine(const std::string& name, const Cli& cli, Totals& tot) {
                     }
                 }
             }
-            if (cli.mode == "fork" || cli.mode == "both") {
+            if (cli.mode == "fork" || cli.mode == "sigkill" ||
+                cli.mode == "both") {
+                const bool sigkill = cli.mode == "sigkill";
                 TxTrace trace = harness.generate(seed);
-                ForkResult fr =
-                    harness.run_fork(trace, cli.fork_crashes, seed);
+                ForkResult fr = harness.run_fork(
+                    trace, cli.fork_crashes, seed,
+                    sigkill ? CrashPoint::kStore : CrashPoint::kFence);
                 tot.fork_crashes += fr.crashes;
                 if (!fr.ok()) {
                     tot.violations += fr.violations;
@@ -172,10 +178,10 @@ void run_engine(const std::string& name, const Cli& cli, Totals& tot) {
                     for (const auto& f : fr.failures)
                         if (tot.failures.size() < 32)
                             tot.failures.push_back(name + ": " + f);
-                    if (tot.bundles < 8 && !fr.violating_fences.empty()) {
+                    if (tot.bundles < 8 && !fr.violating_points.empty()) {
                         trace.has_repro = true;
-                        trace.repro.mode = 1;
-                        trace.repro.fence = fr.violating_fences.front();
+                        trace.repro.mode = sigkill ? 2 : 1;
+                        trace.repro.fence = fr.violating_points.front();
                         const std::string bp =
                             bundle_path(cli, name, shards, seed);
                         trace.save(bp);
@@ -211,8 +217,12 @@ int replay_bundle(const Cli& cli) {
         FuzzHarness<E> harness(cfg);
         bool reproduced = false;
         uint64_t fresh_access = 0;
-        if (trace.has_repro && trace.repro.mode == 1) {
-            ForkResult fr = harness.run_fork_at(trace, {trace.repro.fence});
+        if (trace.has_repro &&
+            (trace.repro.mode == 1 || trace.repro.mode == 2)) {
+            ForkResult fr = harness.run_fork_at(
+                trace, {trace.repro.fence},
+                trace.repro.mode == 2 ? CrashPoint::kStore
+                                      : CrashPoint::kFence);
             reproduced = !fr.ok();
             for (const auto& f : fr.failures) std::cout << "  " << f << "\n";
         } else {
@@ -313,7 +323,8 @@ int main(int argc, char** argv) {
         else if (a == "--help" || a == "-h") usage("");
         else usage("unknown argument " + a);
     }
-    if (cli.mode != "explore" && cli.mode != "fork" && cli.mode != "both")
+    if (cli.mode != "explore" && cli.mode != "fork" && cli.mode != "sigkill" &&
+        cli.mode != "both")
         usage("unknown --mode " + cli.mode);
 
     if (std::string tuned = apply_env_tuning(); !tuned.empty())
