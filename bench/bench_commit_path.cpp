@@ -1,12 +1,11 @@
-// Commit-path overhaul A/B (DESIGN.md §4): the same sequential-write
-// transaction driven through the three commit pipelines selectable at
-// runtime via pmem::commit_config() —
+// Commit-path A/B (DESIGN.md §4.6): the same sequential-write transaction
+// driven through the commit pipeline with its streaming paths off and on,
+// selected at runtime via pmem::commit_config().nt_threshold —
 //
-//   legacy     unsorted per-line flush + per-line cached replication
-//              (the pre-overhaul path: coalesce off, NT off),
-//   coalesce   merged-run flush + merged-run cached replication,
+//   coalesce     merged-run flush + merged-run cached replication
+//                (nt_threshold = SIZE_MAX: every store cached),
 //   coalesce+nt  merged-run flush + non-temporal streaming replication
-//              (the default configuration).
+//                (the default configuration).
 //
 // Reported per footprint and mode: pwbs/tx, commit latency, merged runs/tx
 // and the NT vs cached replica-byte split.  A second section microbenchmarks
@@ -30,14 +29,12 @@ namespace {
 
 struct Mode {
     const char* name;
-    bool coalesce;
     size_t nt_threshold;
 };
 
 constexpr Mode kModes[] = {
-    {"legacy", false, SIZE_MAX},
-    {"coalesce", true, SIZE_MAX},
-    {"coalesce+nt", true, 4 * pmem::kCacheLineSize},
+    {"coalesce", SIZE_MAX},
+    {"coalesce+nt", 4 * pmem::kCacheLineSize},
 };
 
 struct TxResult {
@@ -72,7 +69,6 @@ TxResult measure_tx(size_t footprint, const Mode& mode) {
         for (size_t i = 0; i < words; ++i) arr[i] = 0u;
     });
 
-    pmem::commit_config().coalesce = mode.coalesce;
     pmem::commit_config().nt_threshold = mode.nt_threshold;
 
     auto run_tx = [&](uint64_t seed) {
@@ -185,7 +181,7 @@ void write_json(const std::vector<TxResult>& tx,
 
 int main() {
     pmem::set_profile(pmem::Profile::CLWB);  // degrades to clflushopt/clflush
-    // This bench isolates the slow-path commit pipeline (coalesce / NT
+    // This bench isolates the slow-path commit pipeline (cached / NT
     // modes); the small footprints would otherwise commit through the
     // §4.11 stripe fast path and measure its group apply instead.
     romulus::update_config().fastpath = false;

@@ -12,8 +12,11 @@
 #             the positive-detection fixtures and the armed clean-suite run
 #   persistgraph  romver build (ROMULUS_PERSISTGRAPH=ON) + full ctest
 #             (including the seeded protocol-mutation fixtures), then the
-#             romver CLI end to end: clean run over all five engines plus
-#             both mutations under --expect-violations; reports land in
+#             romver CLI end to end: clean runs over all five engines at
+#             the default 8 KB transaction and at 64 B (which RomulusNL/Log
+#             commit through the stripe fast path's group apply), both
+#             mutations under --expect-violations, and elide-fence on the
+#             64 B group apply; reports land in
 #             build/check/persistgraph/romver-reports/.  Also runs romfuzz
 #             with the planted protocol mutations, which must produce a
 #             replayable repro bundle.
@@ -102,10 +105,14 @@ run_leg() {
         mkdir -p "$reports"
         "$dir/tools/romver" --engine all --budget 2048 \
             --report "$reports/clean.txt"
+        "$dir/tools/romver" --engine all --tx-bytes 64 --budget 2048 \
+            --report "$reports/clean-64.txt"
         "$dir/tools/romver" --mutate elide-fence --expect-violations \
             --report "$reports/mutate-elide-fence.txt"
         "$dir/tools/romver" --mutate reorder-state --expect-violations \
             --report "$reports/mutate-reorder-state.txt"
+        "$dir/tools/romver" --engine log --tx-bytes 64 --mutate elide-fence \
+            --expect-violations --report "$reports/mutate-elide-fence-64.txt"
         # The fuzzer must catch the planted protocol bugs too, and emit a
         # replayable repro bundle for each (exit 1 if no violation found).
         "$dir/tools/romfuzz" --engine log --shards 2 --iters 12 --seed 1 \

@@ -574,14 +574,14 @@ class RedoLogPTM {
         tl.owned.clear();
         // Read-only transactions never reach the durability protocol, so the
         // lifecycle observers only hear about update transactions.
-        if (!read_only) tx_begin_hook();
+        if (!read_only) pmem::notify_tx_begin();
         ROMULUS_RACE_TX_BEGIN(read_only ? "read-tx" : "update-tx");
     }
 
     static void tx_rollback() {
         release_owned();
         tl.active = false;
-        if (!tl.read_only) tx_abort_hook();
+        if (!tl.read_only) pmem::notify_tx_abort();
         ROMULUS_RACE_TX_END();
     }
 
@@ -602,7 +602,7 @@ class RedoLogPTM {
     static void tx_commit() {
         if (tl.ws.size() == 0) {  // read-only or empty
             tl.active = false;
-            tx_commit_hook();
+            pmem::notify_tx_commit();
             ROMULUS_RACE_TX_END();
             return;
         }
@@ -679,7 +679,7 @@ class RedoLogPTM {
         }
         tl.owned.clear();
         tl.active = false;
-        tx_commit_hook();
+        pmem::notify_tx_commit();
         ROMULUS_RACE_TX_END();
     }
 

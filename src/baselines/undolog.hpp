@@ -387,7 +387,7 @@ class UndoLogPTM {
     }
     static void begin_tx_body() {
         tl.entries_this_tx = 0;
-        tx_begin_hook();
+        pmem::notify_tx_begin();
         ROMULUS_RACE_TX_BEGIN("update-tx");
     }
 
@@ -399,7 +399,7 @@ class UndoLogPTM {
         pmem::pfence();  // all in-place pwbs complete before truncation
         truncate_log();
         pmem::psync();
-        tx_commit_hook();
+        pmem::notify_tx_commit();
         ROMULUS_RACE_TX_END();
     }
 
@@ -415,7 +415,7 @@ class UndoLogPTM {
         pmem::pfence();
         truncate_log();
         pmem::psync();
-        tx_abort_hook();
+        pmem::notify_tx_abort();
         ROMULUS_RACE_TX_END();
     }
 

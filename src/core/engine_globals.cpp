@@ -1,6 +1,5 @@
 #include "core/engine_globals.hpp"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -8,32 +7,6 @@
 #include <type_traits>
 
 namespace romulus {
-
-namespace {
-std::atomic<uint64_t> g_tx_begins{0};
-std::atomic<uint64_t> g_tx_commits{0};
-std::atomic<uint64_t> g_tx_aborts{0};
-}  // namespace
-
-TxLifecycleCounters tx_lifecycle_counters() {
-    return TxLifecycleCounters{
-        g_tx_begins.load(std::memory_order_relaxed),
-        g_tx_commits.load(std::memory_order_relaxed),
-        g_tx_aborts.load(std::memory_order_relaxed),
-    };
-}
-
-void reset_tx_lifecycle_counters() {
-    g_tx_begins.store(0, std::memory_order_relaxed);
-    g_tx_commits.store(0, std::memory_order_relaxed);
-    g_tx_aborts.store(0, std::memory_order_relaxed);
-}
-
-namespace detail {
-void count_tx_begin() { g_tx_begins.fetch_add(1, std::memory_order_relaxed); }
-void count_tx_commit() { g_tx_commits.fetch_add(1, std::memory_order_relaxed); }
-void count_tx_abort() { g_tx_aborts.fetch_add(1, std::memory_order_relaxed); }
-}  // namespace detail
 
 ReadConfig& read_config() {
     static ReadConfig cfg;
@@ -99,8 +72,6 @@ std::string apply_env_tuning() {
     env_long("ROMULUS_READ_MAX_ATTEMPTS", 1, [](long n) {
         read_config().max_attempts = static_cast<unsigned>(n);
     });
-    env_long("ROMULUS_COMMIT_COALESCE", 0,
-             [](long n) { pmem::commit_config().coalesce = n != 0; });
     // Unsigned: nt_threshold's stream-nothing value, SIZE_MAX, lies past
     // long's range.
     if (uint64_t n; parse_env_u64(std::getenv("ROMULUS_NT_THRESHOLD"), &n)) {
@@ -111,9 +82,6 @@ std::string apply_env_tuning() {
              [](long n) { update_config().fastpath = n != 0; });
     env_long("ROMULUS_UPDATE_MAX_LINES", 1, [](long n) {
         update_config().max_fastpath_lines = static_cast<unsigned>(n);
-    });
-    env_long("ROMULUS_UPDATE_STRIPES", 1, [](long n) {
-        update_config().stripes = static_cast<unsigned>(n);
     });
     return os.str();
 }

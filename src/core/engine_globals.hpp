@@ -1,4 +1,4 @@
-// Process-wide engine configuration helpers and transaction-lifecycle hooks.
+// Process-wide engine configuration helpers.
 #pragma once
 
 #include <cstddef>
@@ -71,9 +71,6 @@ struct UpdateConfig {
     /// write set grows past this aborts to the slow path (large writers
     /// amortize the shard lock fine; the fast path targets small updates).
     unsigned max_fastpath_lines = 8;
-    /// Stripe count per shard (rounded up to a power of two at engine
-    /// init).  More stripes = fewer false conflicts, more volatile memory.
-    unsigned stripes = 1024;
 };
 UpdateConfig& update_config();
 
@@ -100,12 +97,10 @@ bool env_to_long(const char* name, long lo, long* out);
 /// Recognized (unset or malformed vars leave the compiled defaults):
 ///   ROMULUS_READ_OPTIMISTIC=0|1      ReadConfig::optimistic
 ///   ROMULUS_READ_MAX_ATTEMPTS=<n>    ReadConfig::max_attempts (>= 1)
-///   ROMULUS_COMMIT_COALESCE=0|1      CommitConfig::coalesce
 ///   ROMULUS_NT_THRESHOLD=<bytes>     CommitConfig::nt_threshold
 ///                                    (18446744073709551615: never stream)
 ///   ROMULUS_UPDATE_FASTPATH=0|1     UpdateConfig::fastpath
 ///   ROMULUS_UPDATE_MAX_LINES=<n>    UpdateConfig::max_fastpath_lines (>= 1)
-///   ROMULUS_UPDATE_STRIPES=<n>      UpdateConfig::stripes (>= 1)
 /// Returns a human-readable summary of the overrides applied (empty when
 /// none).  Call from tool main()s before any engine init; knobs are
 /// process-wide and read on every transaction.
@@ -124,39 +119,5 @@ struct ReadStats {
 };
 ReadStats& tl_read_stats();
 inline void reset_tl_read_stats() { tl_read_stats() = ReadStats{}; }
-
-/// Process-wide transaction-lifecycle counters, aggregated across all
-/// engines.  Cheap (relaxed atomics); mostly useful to sanity-check that the
-/// lifecycle instrumentation fires for every engine under test.
-struct TxLifecycleCounters {
-    uint64_t begins = 0;
-    uint64_t commits = 0;
-    uint64_t aborts = 0;
-};
-TxLifecycleCounters tx_lifecycle_counters();
-void reset_tx_lifecycle_counters();
-
-namespace detail {
-void count_tx_begin();
-void count_tx_commit();
-void count_tx_abort();
-}  // namespace detail
-
-/// Lifecycle hook points: every engine (the Romulus variants and both log
-/// baselines) funnels its transaction boundaries through these so that one
-/// installed SimHooks observer (e.g. pmem::PersistencyChecker) sees all of
-/// them, and so the process-wide counters stay consistent.
-inline void tx_begin_hook() {
-    detail::count_tx_begin();
-    pmem::notify_tx_begin();
-}
-inline void tx_commit_hook() {
-    detail::count_tx_commit();
-    pmem::notify_tx_commit();
-}
-inline void tx_abort_hook() {
-    detail::count_tx_abort();
-    pmem::notify_tx_abort();
-}
 
 }  // namespace romulus

@@ -114,7 +114,6 @@ class RangeLog {
 
     bool full_copy() const { return full_copy_; }
     const std::vector<Entry>& entries() const { return entries_; }
-    const std::vector<Run>& copy_only_runs() const { return copy_only_; }
     size_t logged_bytes() const { return logged_bytes_; }
 
     /// Maximal coalesced [off, off+len) runs of the lines commit must flush:

@@ -336,23 +336,11 @@ class RomulusEngine {
         assert(shard_id < s.nshards);
         tl.shard = shard_id;
         Shard& sh = shard(shard_id);
-        tx_begin_hook();
         ROMULUS_RACE_TX_BEGIN("update-tx");
         if constexpr (Traits::kUseLog) {
             sh.log.begin_tx(full_copy_threshold(sh));
         }
-        store_state(sh, MUT);
-        pmem::pwb(&sh.hdr->state);
-        pmem::pfence();
-        if constexpr (!Traits::kUseLR) {
-            // Open the optimistic-read window (seq -> odd) only now, right
-            // before the first in-place mutation of main (§4.9): readers
-            // never read the state word, so its store and persist need no
-            // cover.  The detector-side acquire joins previous readers'
-            // validate releases, ordering their reads before our stores.
-            sh.seq.write_enter();
-            ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
-        }
+        enter_mut(sh);
     }
 
     static void end_transaction() {
@@ -362,52 +350,17 @@ class RomulusEngine {
             return;
         }
         Shard& sh = current_shard();
-#ifdef ROMULUS_PERSISTGRAPH
-        const analysis::ProtocolMutations& pgm =
-            analysis::protocol_mutations();
-#else
-        struct {
-            bool elide_commit_fence = false;
-            bool reorder_state_persist = false;
-        } constexpr pgm{};  // folds every mutation branch away
-#endif
-        if (pgm.reorder_state_persist) {
-            // Seeded protocol bug: persist the CPY state word BEFORE the
-            // body write-backs — the state persist is unordered with the
-            // data it advertises.  romver's static rules must flag this.
-            store_state(sh, CPY);
-            pmem::pwb(&sh.hdr->state);
+        commit_cpy(sh, [&] {
             if constexpr (Traits::kUseLog) flush_logged_main_lines(sh);
             flush_used_size(sh);
-            pmem::psync();
-        } else {
-            if constexpr (Traits::kUseLog) flush_logged_main_lines(sh);
-            flush_used_size(sh);
-            // Seeded protocol bug: eliding this pfence leaves the body
-            // write-backs unordered with the CPY state persist.
-            if (!pgm.elide_commit_fence) pmem::pfence();
-            store_state(sh, CPY);
-            pmem::pwb(&sh.hdr->state);
-            pmem::psync();  // ACID durability point for this shard's main
-        }
-        if constexpr (!Traits::kUseLR) {
-            // Close the optimistic-read window (seq -> even) only now, after
-            // the psync above: a validated reader must have seen *durable*
-            // state.  Closing before copy_main_to_back lets readers overlap
-            // the whole back-replication phase — the bulk of writer
-            // occupancy — which pessimistic readers wait out (§4.9).
-            ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
-            sh.seq.write_exit();
-        }
+        });
         if constexpr (Traits::kUseLR) {
             // Publish: new readers go to main while we refresh back.
             sh.lr.set_read_region(sync::LeftRight::kReadMain);
             sh.lr.toggle_version_and_wait();
         }
         copy_main_to_back(sh);
-        pmem::pfence();  // order back writes before the IDL state write-back
-        store_state(sh, IDL);
-        pmem::pwb(&sh.hdr->state);
+        finish_idl(sh);
         if constexpr (Traits::kUseLR) {
             // Second toggle (§5.3): readers move to the refreshed back so
             // the next update transaction starts with main unobserved.
@@ -415,7 +368,7 @@ class RomulusEngine {
             sh.lr.toggle_version_and_wait();
         }
         tl.tx_depth = 0;
-        tx_commit_hook();
+        pmem::notify_tx_commit();
         ROMULUS_RACE_TX_END();
     }
 
@@ -429,17 +382,12 @@ class RomulusEngine {
         Shard& sh = current_shard();
         copy_back_to_main(sh);
         flush_used_size(sh);  // used_size is monotonic: it survives the abort
-        pmem::pfence();
-        store_state(sh, IDL);
-        pmem::pwb(&sh.hdr->state);
+        finish_idl(sh);
         pmem::psync();
-        if constexpr (!Traits::kUseLR) {
-            // The window stays odd across copy_back_to_main — the rollback
-            // mutates main in place, exactly like the MUT body did.
-            ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
-            sh.seq.write_exit();
-        }
-        tx_abort_hook();
+        // The window stays odd across copy_back_to_main — the rollback
+        // mutates main in place, exactly like the MUT body did.
+        close_window(sh);
+        pmem::notify_tx_abort();
         ROMULUS_RACE_TX_END();
     }
 
@@ -739,11 +687,6 @@ class RomulusEngine {
     static sync::SeqLock& seq_for_tests(unsigned shard_id = 0) {
         return shard(shard_id).seq;
     }
-    /// Test hook: the shard's fast-path stripe table (§4.11), exposed so
-    /// fixtures can plant a held stripe / inspect versions directly.
-    static sync::StripeLockTable& stripes_for_tests(unsigned shard_id = 0) {
-        return shard(shard_id).stripes;
-    }
     /// Test hook: the shard's fast-path announce slots (§4.11), exposed so
     /// fixtures can wait until given committers have announced.
     static sync::FlatCombiningArray<sync::SpecBuffer>& fastpath_slots_for_tests(
@@ -823,9 +766,7 @@ class RomulusEngine {
                 throw std::runtime_error("RomulusEngine: corrupted state field");
             }
             if (st != IDL) {
-                pmem::pfence();
-                store_state(sh, IDL);
-                pmem::pwb(&sh.hdr->state);
+                finish_idl(sh);
                 rolled = true;
             }
         }
@@ -874,8 +815,7 @@ class RomulusEngine {
     /// volatile concurrency kit.  Constructed only for active shards (the
     /// range log alone owns ~0.2–0.8 MB of dedup table).
     struct Shard {
-        explicit Shard(size_t log_bits)
-            : log(log_bits), stripes(update_config().stripes) {}
+        explicit Shard(size_t log_bits) : log(log_bits) {}
 
         uint8_t* main = nullptr;
         uint8_t* back = nullptr;
@@ -1002,10 +942,83 @@ class RomulusEngine {
         return static_cast<size_t>(sh.hdr->used_size.load() / 2);
     }
 
-    static void store_state(Shard& sh, uint32_t st) {
+    // --- Algorithm 1's state transitions -----------------------------------
+    //
+    // begin/end/abort_transaction, recover() and the fast path's group apply
+    // (fp_apply_batch) move a shard's state word only through these steps.
+
+    /// Store the shard's state word and issue its write-back.
+    static void persist_state(Shard& sh, TxState st) {
         sh.hdr->state.store(st, std::memory_order_relaxed);
         pmem::on_store(&sh.hdr->state, sizeof(uint32_t));
         pmem::notify_state_transition(st);
+        pmem::pwb(&sh.hdr->state);
+    }
+
+    /// IDL -> MUT: from here until the CPY persist, back is the consistent
+    /// copy.  Then open the optimistic-read window (seq -> odd), right
+    /// before the first in-place mutation of main (§4.9): readers never
+    /// read the state word, so its store and persist need no cover.  The
+    /// detector-side acquire joins previous readers' validate releases,
+    /// ordering their reads before our stores.
+    static void enter_mut(Shard& sh) {
+        pmem::notify_tx_begin();
+        persist_state(sh, MUT);
+        pmem::pfence();
+        if constexpr (!Traits::kUseLR) {
+            sh.seq.write_enter();
+            ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
+        }
+    }
+
+    /// MUT -> CPY, the durability point: the caller's body write-back, a
+    /// pfence ordering it before the CPY state persist, and the psync that
+    /// makes main durable.  Then close the optimistic-read window (seq ->
+    /// even): a validated reader must have seen *durable* state, and closing
+    /// before the back replication lets readers overlap it — the bulk of
+    /// writer occupancy, which pessimistic readers wait out (§4.9).
+    template <typename WriteBack>
+    static void commit_cpy(Shard& sh, WriteBack&& write_back) {
+#ifdef ROMULUS_PERSISTGRAPH
+        const analysis::ProtocolMutations& pgm =
+            analysis::protocol_mutations();
+#else
+        struct {
+            bool elide_commit_fence = false;
+            bool reorder_state_persist = false;
+        } constexpr pgm{};  // folds every mutation branch away
+#endif
+        if (pgm.reorder_state_persist) {
+            // Seeded protocol bug: persist the CPY state word BEFORE the
+            // body write-back — the state persist is unordered with the
+            // data it advertises.  romver's static rules must flag this.
+            persist_state(sh, CPY);
+            write_back();
+        } else {
+            write_back();
+            // Seeded protocol bug: eliding this pfence leaves the body
+            // write-back unordered with the CPY state persist.
+            if (!pgm.elide_commit_fence) pmem::pfence();
+            persist_state(sh, CPY);
+        }
+        pmem::psync();  // ACID durability point for this shard's main
+        close_window(sh);
+    }
+
+    /// Close the optimistic-read window (seq -> even) once main is durable:
+    /// after the CPY psync on commit, after the IDL psync on rollback.
+    static void close_window(Shard& sh) {
+        if constexpr (!Traits::kUseLR) {
+            ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
+            sh.seq.write_exit();
+        }
+    }
+
+    /// -> IDL: a pfence orders the replication to back (or, on rollback and
+    /// in recovery, the restore of main) before the IDL state persist.
+    static void finish_idl(Shard& sh) {
+        pmem::pfence();
+        persist_state(sh, IDL);
     }
 
     static void range_written(void* dst, size_t n) {
@@ -1070,21 +1083,16 @@ class RomulusEngine {
             pmem::pwb_range(sh.main, sh.hdr->used_size.load());
             return;
         }
-        if (pmem::commit_config().coalesce) {
-            // One sorted/coalesced pass, shared with copy_main_to_back():
-            // each maximal run costs one ranged flush instead of one
-            // dispatched pwb per 64 B entry.  Copy-only (streamed) lines are
-            // replicated but never flushed.
-            auto& cs = pmem::tl_commit_stats();
-            cs.commits++;
-            cs.runs += sh.log.copy_runs().size();
-            cs.lines_logged += sh.log.logged_bytes() / pmem::kCacheLineSize;
-            for (const auto& r : sh.log.merged_runs())
-                pmem::pwb_range(sh.main + r.off, r.len);
-        } else {
-            for (const auto& e : sh.log.entries())
-                pmem::pwb_range(sh.main + e.off, e.len);
-        }
+        // One sorted/coalesced pass, shared with copy_main_to_back(): each
+        // maximal run costs one ranged flush instead of one dispatched pwb
+        // per 64 B entry.  Copy-only (streamed) lines are replicated but
+        // never flushed.
+        auto& cs = pmem::tl_commit_stats();
+        cs.commits++;
+        cs.runs += sh.log.copy_runs().size();
+        cs.lines_logged += sh.log.logged_bytes() / pmem::kCacheLineSize;
+        for (const auto& r : sh.log.merged_runs())
+            pmem::pwb_range(sh.main + r.off, r.len);
     }
 
     static void copy_range_to_back(Shard& sh, uint64_t off, size_t len) {
@@ -1096,20 +1104,13 @@ class RomulusEngine {
 
     static void copy_main_to_back(Shard& sh) {
         if constexpr (Traits::kUseLog) {
-            if (tl.tx_depth == 0 || sh.log.full_copy()) {
-                copy_range_to_back(sh, 0, sh.hdr->used_size.load());
-            } else if (pmem::commit_config().coalesce) {
+            if (tl.tx_depth > 0 && !sh.log.full_copy()) {
                 for (const auto& r : sh.log.copy_runs())
                     copy_range_to_back(sh, r.off, r.len);
-            } else {
-                for (const auto& e : sh.log.entries())
-                    copy_range_to_back(sh, e.off, e.len);
-                for (const auto& r : sh.log.copy_only_runs())
-                    copy_range_to_back(sh, r.off, r.len);
+                return;
             }
-        } else {
-            copy_range_to_back(sh, 0, sh.hdr->used_size.load());
         }
+        copy_range_to_back(sh, 0, sh.hdr->used_size.load());
     }
 
     static void copy_back_to_main(Shard& sh) {
@@ -1275,8 +1276,8 @@ class RomulusEngine {
                 // The surfaced exception IS an aborted transaction from the
                 // caller's (and the persistency checker's) point of view:
                 // nothing was applied, but the lifecycle must stay visible.
-                tx_begin_hook();
-                tx_abort_hook();
+                pmem::notify_tx_begin();
+                pmem::notify_tx_abort();
                 throw;
             }
             return false;
@@ -1349,14 +1350,7 @@ class RomulusEngine {
         // (no RFO, no flush, no re-read of main), drained before the CPY and
         // IDL state stores; otherwise a cached store + pwb per line.
         const bool nt = pmem::streams_line_images();
-        tx_begin_hook();
-        store_state(sh, MUT);
-        pmem::pwb(&sh.hdr->state);
-        pmem::pfence();
-        // The window covers the in-place apply through the CPY psync only,
-        // as on the slow path (§4.9).
-        sh.seq.write_enter();
-        ROMULUS_RACE_ACQUIRE(&sh.seq, "seqlock.write_enter");
+        enter_mut(sh);
         for (int b = 0; b < n; ++b) {
             for (unsigned i = 0; i < sets[b]->nw; ++i) {
                 const auto& wl = sets[b]->wlines[i];
@@ -1374,7 +1368,10 @@ class RomulusEngine {
                 ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
             }
         }
-        if (nt) {
+        // A cached apply wrote each line back as it went; the body
+        // write-back left for the CPY step is the drain of the NT images.
+        commit_cpy(sh, [&] {
+            if (!nt) return;
             pmem::nt_drain();
             // An NT store leaves no cached copy, so the next get of a hot
             // record, or the capture of its next update, would miss to
@@ -1382,15 +1379,7 @@ class RomulusEngine {
             for (int b = 0; b < n; ++b)
                 for (unsigned i = 0; i < sets[b]->nw; ++i)
                     __builtin_prefetch(sh.main + sets[b]->wlines[i].line_off);
-        }
-        pmem::pfence();  // order the write sets before the CPY state persist
-        store_state(sh, CPY);
-        pmem::pwb(&sh.hdr->state);
-        pmem::psync();  // ACID durability point: every write set or none
-        // Reopen the optimistic-read window before back replication, like
-        // the slow path (§4.9): readers overlap the replication phase.
-        ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
-        sh.seq.write_exit();
+        });
         for (int b = 0; b < n; ++b) {
             const FpTx& fp = *sets[b];
             for (unsigned i = 0; i < fp.nw;) {
@@ -1409,10 +1398,8 @@ class RomulusEngine {
             }
         }
         if (nt) pmem::nt_drain();
-        pmem::pfence();  // order back writes before the IDL state write-back
-        store_state(sh, IDL);
-        pmem::pwb(&sh.hdr->state);
-        tx_commit_hook();
+        finish_idl(sh);
+        pmem::notify_tx_commit();
         for (int b = 0; b < n; ++b) sh.fp_slots.mark_done(slots[b]);
         auto& cs = pmem::tl_commit_stats();
         cs.fastpath_batches++;
@@ -1479,7 +1466,6 @@ class RomulusEngine {
         for (int i = 0; i < n; ++i) sh.fc.mark_done(done[i]);
         sh.combines.fetch_add(1, std::memory_order_relaxed);
         sh.combined_ops.fetch_add(uint64_t(n), std::memory_order_relaxed);
-        if (n > 0) pmem::tl_commit_stats().note_combine_batch(unsigned(n));
     }
 };
 

@@ -90,13 +90,10 @@ class SimHooks {
 void set_sim_hooks(SimHooks* hooks);
 SimHooks* sim_hooks();
 
-/// Tuning knobs of the coalesced/streaming commit pipeline.  Process-global
-/// (like the flush profile) so one bench/test binary can A/B the pre- and
-/// post-overhaul commit paths without rebuilding.
+/// Tuning knob of the commit pipeline's streaming paths.  Process-global
+/// (like the flush profile) so one bench/test binary can A/B streaming
+/// against all-cached stores without rebuilding.
 struct CommitConfig {
-    /// Consume RangeLog::merged_runs() at commit instead of re-walking the
-    /// unsorted per-line entries (flush and replication both).
-    bool coalesce = true;
     /// Minimum length in bytes for a replication run — or for the whole
     /// lines inside a store_range payload — to take the non-temporal
     /// streaming path of persist_copy(); shorter runs (and SIZE_MAX) use
@@ -247,8 +244,7 @@ inline void on_store(const void* addr, size_t len) {
 }
 
 /// Lifecycle notifications: cheap single-branch forwards to the installed
-/// hooks.  Engines call these at the transaction boundaries (most go through
-/// the counting wrappers in core/engine_globals.hpp).
+/// hooks.  Every engine calls these at its transaction boundaries.
 inline void notify_tx_begin() {
     if (detail::g_sim_hooks) detail::g_sim_hooks->on_tx_begin();
 }

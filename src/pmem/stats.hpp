@@ -67,29 +67,20 @@ struct CommitStats {
     /// Stripe-locked speculative fast path (DESIGN.md §4.11) outcomes for
     /// update transactions on this thread:
     uint64_t fastpath_commits = 0;  ///< updateTx committed speculatively
-    uint64_t fastpath_aborts = 0;   ///< speculations aborted (conflict,
-                                    ///< footprint overflow, allocation)
-    uint64_t fastpath_fallbacks = 0;  ///< updateTx that ran the C-RW-WP
-                                      ///< slow path (after aborting or
-                                      ///< because the fast path is off)
+    /// Speculations that failed: doomed (conflict, footprint overflow,
+    /// allocation, free), lost the commit-time validation, or exited
+    /// through a user exception.
+    uint64_t fastpath_aborts = 0;
+    /// updateTx that re-ran on the C-RW-WP slow path after a failed
+    /// speculation or because a slow-path writer held the shard lock.  Not
+    /// counted with UpdateConfig::fastpath off.
+    uint64_t fastpath_fallbacks = 0;
     /// Fast-path group apply (DESIGN.md §4.11): durable apply windows
     /// this thread ran, and the announced write sets they carried (their
     /// ratio is the mean batch size; 1.0 = no two commits ever shared one
     /// MUT/CPY/IDL window).
     uint64_t fastpath_batches = 0;
     uint64_t fastpath_batched = 0;
-    /// Flat-combining batch-size histogram: bucket b counts combined
-    /// transactions whose batch held (2^(b-1), 2^b] announced operations
-    /// (bucket 0 = singletons, bucket 7 = everything above 64).  Shows how
-    /// much fence amortisation the combiner — including its re-scan —
-    /// actually delivered.
-    uint64_t combine_hist[8] = {};
-
-    void note_combine_batch(unsigned ops) {
-        unsigned b = 0;
-        while (b < 7 && (1u << b) < ops) ++b;
-        combine_hist[b]++;
-    }
 
     /// Lines whose individual memcpy/pwb dispatch was avoided by merging.
     uint64_t lines_merged() const { return lines_logged - runs; }

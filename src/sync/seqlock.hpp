@@ -1,7 +1,7 @@
 // Per-shard sequence lock for optimistic durable read-only transactions
 // (DESIGN.md §4.9).
 //
-// The C-RW-WP engines serialize readers behind the shard writer: a read
+// RomulusNL and RomulusLog serialize readers behind the shard writer: a read
 // transaction arrives on the read indicator and waits while a writer is
 // present, so read-mostly workloads are bounded by writer occupancy on the
 // shard.  This word gives readers a speculative escape hatch in the spirit
@@ -14,7 +14,7 @@
 // zero read-indicator arrival and zero persistence fences.
 //
 // Validation discipline (what makes the optimistic path crash-free): the
-// engines validate after EVERY interposed pload, between the load and any
+// engine validates after EVERY interposed pload, between the load and any
 // use of the loaded value.  A pointer obtained from a validated load is
 // therefore a pointer that existed in the consistent snapshot — the classic
 // seqlock torn-pointer-dereference hazard cannot arise, because the load of
@@ -57,8 +57,9 @@
 namespace romulus::sync {
 
 /// Internal control-flow exception: an optimistic read attempt observed a
-/// sequence change (a writer entered the shard's MUT window).  Thrown by the
-/// engines' pload validation, caught by readTx, never escapes to the user.
+/// sequence change (a writer entered the shard's MUT window).  Thrown by
+/// RomulusNL/RomulusLog's pload validation, caught by readTx, never escapes
+/// to the user.
 struct OptimisticAbort {};
 
 class alignas(64) SeqLock {

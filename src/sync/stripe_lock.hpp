@@ -39,18 +39,13 @@ class StripeLockTable {
     static constexpr unsigned kDefaultStripes = 1024;
     static constexpr unsigned kMaxStripes = 1u << 20;
 
-    StripeLockTable() : StripeLockTable(kDefaultStripes) {}
-    explicit StripeLockTable(unsigned stripes) { resize(stripes); }
-
-    /// (Re)build the table with the given stripe count (rounded up to a
-    /// power of two, clamped to [1, kMaxStripes]).  NOT thread-safe: call
-    /// only from quiescent engine init / crash_reset paths.
-    void resize(unsigned stripes) {
+    /// A table of `stripes` stripes, rounded up to a power of two and
+    /// clamped to [1, kMaxStripes].
+    explicit StripeLockTable(unsigned stripes = kDefaultStripes) {
         unsigned n = 1;
         while (n < stripes && n < kMaxStripes) n <<= 1;
         mask_ = n - 1;
         slots_ = std::make_unique<Slot[]>(n);
-        clock_.store(0, std::memory_order_relaxed);
     }
 
     /// Zero every stripe word and the clock, keeping the allocation.  Used
@@ -144,9 +139,9 @@ class StripeLockTable {
     alignas(64) std::atomic<uint64_t> clock_{0};
 };
 
-/// Thread-local speculation state shared by the engines' update fast paths:
-/// a redo-style write set of whole captured cache lines plus a read set of
-/// stripe observations.  The engine interposes pstore/pload into
+/// Thread-local speculation state of RomulusNL/RomulusLog's update fast
+/// path: a redo-style write set of whole captured cache lines plus a read
+/// set of stripe observations.  The engine interposes pstore/pload into
 /// spec_store/spec_load while a speculation is open, then commits the
 /// buffer with its own durable protocol after spec_lock_write_set.
 ///

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "analysis/romver.hpp"
 #include "core/engine_globals.hpp"
+#include "pmem/stats.hpp"
 #include "test_support.hpp"
 #include "ptm_types.hpp"
 
@@ -30,12 +33,26 @@ struct MutationGuard {
     ~MutationGuard() { protocol_mutations() = {}; }
 };
 
-GraphAnalysis record_and_analyze(const std::string& tag) {
+/// Record the romver workload on RomulusLog and run the static rules.  At
+/// 64 bytes the recorded update fits the stripe fast path and commits
+/// through its group apply (fp_apply_batch), which shares the MUT -> CPY
+/// step — and its seeded mutations — with the slow path.
+/// `fastpath_commits`, when given, receives how far the recording moved the
+/// thread's counter: the setup transaction allocates, so it always re-runs
+/// on the slow path, and only the recorded update can count.
+GraphAnalysis record_and_analyze(const std::string& tag,
+                                 size_t tx_bytes = 8192,
+                                 uint64_t* fastpath_commits = nullptr) {
+    UpdateConfigGuard update;
+    update_config().fastpath = true;
     RomverConfig cfg;
     cfg.path = heap_path(tag);
-    cfg.tx_bytes = 8192;
+    cfg.tx_bytes = tx_bytes;
     RomverHarness<RomulusLog> harness(cfg);
+    const uint64_t before = pmem::tl_commit_stats().fastpath_commits;
     harness.record();
+    if (fastpath_commits != nullptr)
+        *fastpath_commits = pmem::tl_commit_stats().fastpath_commits - before;
     return harness.analyze();
 }
 
@@ -69,6 +86,41 @@ TEST(RomverFixtures, ReorderedStatePersistIsFlagged) {
     GraphAnalysis ga = record_and_analyze("romver_reorder");
     ASSERT_FALSE(ga.clean());
     EXPECT_GE(ga.violations.size(), 128u);
+    for (const ProtocolViolation& v : ga.violations) {
+        EXPECT_EQ(v.kind, ProtocolViolation::Kind::UnorderedStatePersist);
+        EXPECT_EQ(v.state_value, 2u);
+    }
+}
+
+TEST(RomverFixtures, FastPathControlIsClean) {
+    MutationGuard guard;
+    uint64_t fp_commits = 0;
+    GraphAnalysis ga = record_and_analyze("romver_fp_ctl", 64, &fp_commits);
+    EXPECT_EQ(fp_commits, 1u);
+    EXPECT_TRUE(ga.clean()) << ga.report();
+}
+
+TEST(RomverFixtures, FastPathElidedCommitFenceIsFlagged) {
+    MutationGuard guard;
+    protocol_mutations().elide_commit_fence = true;
+    uint64_t fp_commits = 0;
+    GraphAnalysis ga = record_and_analyze("romver_fp_elide", 64, &fp_commits);
+    EXPECT_EQ(fp_commits, 1u);
+    ASSERT_FALSE(ga.clean());
+    for (const ProtocolViolation& v : ga.violations) {
+        EXPECT_EQ(v.kind, ProtocolViolation::Kind::UnorderedStatePersist);
+        EXPECT_EQ(v.state_value, 2u);  // CPY
+        EXPECT_EQ(v.line_window, v.state_window);
+    }
+}
+
+TEST(RomverFixtures, FastPathReorderedStatePersistIsFlagged) {
+    MutationGuard guard;
+    protocol_mutations().reorder_state_persist = true;
+    uint64_t fp_commits = 0;
+    GraphAnalysis ga = record_and_analyze("romver_fp_reorder", 64, &fp_commits);
+    EXPECT_EQ(fp_commits, 1u);
+    ASSERT_FALSE(ga.clean());
     for (const ProtocolViolation& v : ga.violations) {
         EXPECT_EQ(v.kind, ProtocolViolation::Kind::UnorderedStatePersist);
         EXPECT_EQ(v.state_value, 2u);

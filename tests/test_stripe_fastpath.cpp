@@ -919,14 +919,11 @@ TEST(EnvTuning, MalformedFastPathKnobsLeaveDefaults) {
     const UpdateConfig before = update_config();
     ::setenv("ROMULUS_UPDATE_FASTPATH", "banana", 1);
     ::setenv("ROMULUS_UPDATE_MAX_LINES", "8x", 1);
-    ::setenv("ROMULUS_UPDATE_STRIPES", "0", 1);  // below the >= 1 floor
     const std::string applied = apply_env_tuning();
     ::unsetenv("ROMULUS_UPDATE_FASTPATH");
     ::unsetenv("ROMULUS_UPDATE_MAX_LINES");
-    ::unsetenv("ROMULUS_UPDATE_STRIPES");
     EXPECT_EQ(update_config().fastpath, before.fastpath);
     EXPECT_EQ(update_config().max_fastpath_lines, before.max_fastpath_lines);
-    EXPECT_EQ(update_config().stripes, before.stripes);
     EXPECT_EQ(applied.find("ROMULUS_UPDATE_"), std::string::npos) << applied;
 }
 
@@ -934,14 +931,11 @@ TEST(EnvTuning, WellFormedFastPathKnobsApply) {
     UpdateConfigGuard guard;
     ::setenv("ROMULUS_UPDATE_FASTPATH", "0", 1);
     ::setenv("ROMULUS_UPDATE_MAX_LINES", "16", 1);
-    ::setenv("ROMULUS_UPDATE_STRIPES", "2048", 1);
     const std::string applied = apply_env_tuning();
     ::unsetenv("ROMULUS_UPDATE_FASTPATH");
     ::unsetenv("ROMULUS_UPDATE_MAX_LINES");
-    ::unsetenv("ROMULUS_UPDATE_STRIPES");
     EXPECT_FALSE(update_config().fastpath);
     EXPECT_EQ(update_config().max_fastpath_lines, 16u);
-    EXPECT_EQ(update_config().stripes, 2048u);
     EXPECT_NE(applied.find("ROMULUS_UPDATE_FASTPATH=0"), std::string::npos)
         << applied;
 }
