@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """bench_trajectory: append / regression-check the bench smoke artifacts.
 
-The CI smoke jobs run bench_commit_path and bench_sharding with a short
-measurement window and emit BENCH_<name>.json (bench_common.hpp JsonEmitter).
+The CI smoke jobs run each bench three times with a short measurement window
+and emit BENCH_<name>.json per run (bench_common.hpp JsonEmitter).
 This script turns those artifacts into a *trajectory*: one JSONL line per
 recorded run under bench/trajectory/<name>.jsonl, committed to the repo, so
 the perf-relevant counters have a history the CI can diff against.
@@ -21,14 +21,17 @@ Metrics come in two classes:
 Usage
 -----
     bench_trajectory.py append BENCH_commit_path.json [--dir DIR] [--note S]
-    bench_trajectory.py check  BENCH_commit_path.json [--dir DIR]
+    bench_trajectory.py check  BENCH_commit_path.json [MORE.json ...] [--dir DIR]
                                [--counter-threshold F] [--throughput-threshold F]
 
 `append` flattens the artifact into {metric-key: value}, stamps it with the
 current git commit, and appends to bench/trajectory/<bench>.jsonl.
-`check` compares the artifact against the LAST committed trajectory point and
-exits 1 listing every regression (0 when clean or when there is no history
-yet).  Metric keys look like `tx_sweep[8192,coalesce+nt].pwbs_per_tx`.
+`check` takes one or more artifacts of the same bench, reduces each metric
+key to its median over them, compares the medians against the LAST
+committed trajectory point and exits 1 listing every regression (0 when
+clean or when there is no history yet).  One short smoke run of a wall-clock
+cell can be off by 2x; the median of a few runs is what the thresholds
+gate.  Metric keys look like `tx_sweep[8192,coalesce+nt].pwbs_per_tx`.
 
 Exit status: 0 = ok, 1 = regression(s), 2 = usage/IO error.
 """
@@ -36,6 +39,7 @@ Exit status: 0 = ok, 1 = regression(s), 2 = usage/IO error.
 import argparse
 import datetime
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -177,9 +181,26 @@ def cmd_append(args, repo):
     return 0
 
 
+def median_metrics(paths):
+    """Artifacts of one bench -> (bench_name, run count, {metric_key:
+    (median value, class, direction)}) over the runs that report each key."""
+    runs = [flatten(load_artifact(p)) for p in paths]
+    bench = runs[0][0]
+    others = sorted({b for b, _ in runs if b != bench})
+    if others:
+        raise ValueError(f"check needs artifacts of one bench, got "
+                         f"'{bench}' and {', '.join(map(repr, others))}")
+    values = {}
+    for _, metrics in runs:
+        for key, (value, cls, direction) in metrics.items():
+            values.setdefault(key, ([], cls, direction))[0].append(value)
+    return bench, len(runs), {
+        key: (statistics.median(vs), cls, direction)
+        for key, (vs, cls, direction) in values.items()}
+
+
 def cmd_check(args, repo):
-    artifact = load_artifact(args.artifact)
-    bench, metrics = flatten(artifact)
+    bench, nruns, metrics = median_metrics(args.artifact)
     traj_dir = Path(args.dir) if args.dir else repo / "bench" / "trajectory"
     base = last_point(traj_dir / f"{bench}.jsonl")
     if base is None:
@@ -206,13 +227,14 @@ def cmd_check(args, repo):
                 f"  {key} [{cls}]: {old:g} -> {value:g} "
                 f"({rel * 100:+.1f}% worse, limit {thresholds[cls] * 100:.0f}%)")
     point_id = f"{base.get('commit', '?')} ({base.get('date', '?')})"
+    runs = f"median of {nruns} runs" if nruns > 1 else "1 run"
     if regressions:
         print(f"bench_trajectory: {len(regressions)} regression(s) for "
-              f"'{bench}' vs {point_id}:")
+              f"'{bench}' ({runs}) vs {point_id}:")
         print("\n".join(regressions))
         return 1
-    print(f"bench_trajectory: '{bench}' ok — {checked} metric(s) within "
-          f"thresholds vs {point_id}")
+    print(f"bench_trajectory: '{bench}' ok — {checked} metric(s) ({runs}) "
+          f"within thresholds vs {point_id}")
     return 0
 
 
@@ -221,7 +243,12 @@ def main(argv):
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name in ("append", "check"):
         p = sub.add_parser(name)
-        p.add_argument("artifact", help="BENCH_<name>.json from a bench run")
+        if name == "append":
+            p.add_argument("artifact", help="BENCH_<name>.json from a bench run")
+        else:
+            p.add_argument("artifact", nargs="+",
+                           help="BENCH_<name>.json from one or more runs of "
+                           "the same bench; each metric's median is gated")
         p.add_argument("--dir", help="trajectory dir "
                        "(default: <repo>/bench/trajectory)")
         if name == "append":

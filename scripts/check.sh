@@ -25,7 +25,10 @@
 #             image recovered and model-checked, plus fork-and-crash
 #             episodes, then the same with the stripe fast path pinned on
 #             and with values up to 2 KB (streamed payloads), then a
-#             sigkill pass (children SIGKILLed after a drawn store).  Fixed
+#             sigkill pass (children SIGKILLed after a drawn store), then
+#             RomulusNL/Log with every value 8 KB (in-place overwrites too
+#             large for the fast path's write set doom their speculation).
+#             Fixed
 #             seeds and bounded budgets keep it deterministic and fast; nightly
 #             runs raise the budget via ROMFUZZ_ITERS / ROMFUZZ_CRASHES.
 #             Repro bundles from any failure land in
@@ -154,6 +157,23 @@ run_leg() {
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-4}" \
             --mode sigkill --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
             --out "$bundles-sigkill"
+        # Fifth pass, on the engines with the stripe fast path, with every
+        # value 8 KB: a value over 4 KB spans more lines than a
+        # speculation's write set holds, so its store dooms the run before
+        # capturing a line (DESIGN.md §4.11).  KVStore overwrites a value in
+        # place only when the new one has the same length, so the length is
+        # fixed; drawn from [0, 8192] no history reached that store.  A new
+        # key's put ends its speculation at its second allocation (the node
+        # takes the speculation's sandbox).  The redo comparator's
+        # fixed-size log rejects transactions this large, so the pass leaves
+        # it out.
+        for engine in nl log; do
+            "$dir/tools/romfuzz" --engine "$engine" --shards 1,4 \
+                --value-min 8192 --value-max 8192 \
+                --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-5}" \
+                --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
+                --out "$bundles-oversized"
+        done
         ;;
     *)
         echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz)" >&2

@@ -333,7 +333,9 @@ TxTrace generate_trace(const GenConfig& cfg, uint64_t seed,
         return key_at(idx);
     };
     auto pick_value = [&] {
-        const size_t len = size_t(rng() % (uint64_t(cfg.value_max) + 1));
+        const size_t len = cfg.value_min +
+                           size_t(rng() % (uint64_t(cfg.value_max) -
+                                           cfg.value_min + 1));
         std::string v(len, '\0');
         for (size_t i = 0; i < len; i += 8) {
             const uint64_t r = rng();

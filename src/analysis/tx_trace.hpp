@@ -156,7 +156,9 @@ struct GenConfig {
     uint32_t setup_ops = 48;    ///< unrecorded population PUTs
     uint32_t episode_ops = 24;  ///< recorded sub-transaction budget
     uint32_t key_space = 96;    ///< distinct keys
-    uint32_t value_max = 160;   ///< value length drawn from [0, value_max]
+    /// Value length drawn from [value_min, value_max].
+    uint32_t value_min = 0;
+    uint32_t value_max = 160;
     uint32_t put_pct = 50;
     uint32_t del_pct = 15;
     uint32_t get_pct = 20;      ///< remainder of 100 goes to batches

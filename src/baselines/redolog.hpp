@@ -650,8 +650,8 @@ class RedoLogPTM {
         }
         log.count.store(n, std::memory_order_relaxed);
         pmem::on_store(&log.count, 8);
-        pmem::pwb_range(log.entries, n * sizeof(RedoEntry));
-        pmem::pwb(&log.count);
+        // count shares its line with entries[0..2]: one ranged write-back.
+        pmem::pwb_range(&log.count, sizeof(log.count) + n * sizeof(RedoEntry));
         pmem::pfence();
         log.marker.store(wv, std::memory_order_relaxed);
         pmem::on_store(&log.marker, 8);

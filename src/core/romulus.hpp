@@ -299,7 +299,7 @@ class RomulusEngine {
     static void note_used(const void* end) {
         if constexpr (!Traits::kUseLR) {
             // The fast path never allocates from the shard heap (alloc_bytes
-            // dooms the speculation and serves scratch memory first), so a
+            // serves the sandbox or ends the speculation first), so a
             // used_size growth notification means the speculation escaped
             // its footprint contract: doom it and leave the header alone.
             if (tl.fp_active) {
@@ -579,12 +579,16 @@ class RomulusEngine {
         if constexpr (!Traits::kUseLR) {
             // Allocator metadata mutations are not stripe-guarded: an
             // allocating transaction always re-runs on the slow path (§4.11).
-            // The doomed continuation still needs usable memory — possibly
-            // beneath a noexcept frame, so no exception — and gets volatile
-            // scratch that dies with the speculation.
+            // A small first allocation gets the speculation's sandbox, so a
+            // one-insert closure finishes its short doomed tail: that costs
+            // less than unwinding it.  Any other allocation ends the run
+            // here — the rest is wasted work, and allocation may throw
+            // (std::bad_alloc), so callers already cope with an exception
+            // from this point.
             if (tl.fp_active) {
                 fp_doom();
-                return tl_fp().scratch_alloc(n);
+                if (void* p = tl_fp().sandbox_alloc(n)) return p;
+                throw sync::SpecAbort{};
             }
         }
         void* ptr = current_shard().alloc.alloc(n);
@@ -1171,11 +1175,15 @@ class RomulusEngine {
     //   2. Run the closure with every pstore buffered into a thread-local
     //      write set of whole cache lines and every pload validated against
     //      the line's stripe word (locked, or version > the start-time clock
-    //      snapshot rv => abort).  Footprint overflow, allocation, frees and
+    //      snapshot rv => abort).  Footprint overflow, frees and
     //      cross-shard access doom the speculation — it keeps executing to
-    //      completion in SpecBuffer's sandboxed pass-through mode (aborts
-    //      never throw: closures run noexcept destructors) and the closure
-    //      is re-run on the slow path afterwards.
+    //      completion in SpecBuffer's sandboxed pass-through mode (these
+    //      dooms never throw: closures run noexcept destructors) and the
+    //      closure is re-run on the slow path afterwards.  An allocation
+    //      dooms it too: the first one, if small, is served from
+    //      SpecBuffer's sandbox, and any other ends the run at once with
+    //      sync::SpecAbort.  A store spanning more lines than the write set
+    //      holds dooms it without capturing any line.
     //   3. Commit: try-acquire the write set's stripes in canonical
     //      (sorted) order, validate captured-line versions and the read
     //      set, advance the shard's fast-path clock to wv, and announce the
@@ -1258,12 +1266,12 @@ class RomulusEngine {
             f();
             ok = !fp.aborted;
         } catch (...) {
-            // Genuine user exception (speculation aborts never throw).
-            // Nothing was applied, so the transaction is a no-op either way;
-            // but only surface the exception off an undoomed, still-valid
-            // read set — off a dead snapshot it may be an artifact of an
-            // inconsistent view, so retry on the slow path instead of
-            // raising a phantom.
+            // A user exception, or the SpecAbort an allocation raises after
+            // dooming the run.  Nothing was applied, so the transaction is a
+            // no-op either way; but only surface the exception off an
+            // undoomed, still-valid read set — a doomed run's exception is
+            // SpecAbort or may be an artifact of its inconsistent view, so
+            // retry on the slow path instead of raising a phantom.
             const bool consistent =
                 !fp.aborted &&
                 sync::spec_reads_valid(fp, sh.stripes, nullptr, 0);

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "analysis/race_hooks.hpp"
 
@@ -139,24 +138,38 @@ class StripeLockTable {
     alignas(64) std::atomic<uint64_t> clock_{0};
 };
 
+/// Internal control-flow exception: an allocation inside a speculation
+/// that SpecBuffer::sandbox_alloc cannot serve.  Allocator metadata is not
+/// stripe-guarded, so an allocating transaction can never commit
+/// speculatively; RomulusNL/RomulusLog's alloc_bytes dooms the run and
+/// throws this to end it at once instead of finishing it sandboxed.  Caught
+/// by try_fastpath_update, which re-runs the closure on the slow path; never
+/// escapes to the user.
+struct SpecAbort {};
+
 /// Thread-local speculation state of RomulusNL/RomulusLog's update fast
 /// path: a redo-style write set of whole captured cache lines plus a read
 /// set of stripe observations.  The engine interposes pstore/pload into
 /// spec_store/spec_load while a speculation is open, then commits the
 /// buffer with its own durable protocol after spec_lock_write_set.
 ///
-/// Aborts never throw.  A speculation that hits a conflict, footprint
-/// overflow or allocation is *doomed* (`aborted` set) but the user closure
-/// keeps executing to completion in a sandboxed pass-through mode; the
-/// engine checks `aborted` when the closure returns and re-runs it on the
-/// slow path.  Throwing would be fatal: data-structure destructors are
-/// implicitly noexcept and routinely call tmDelete from inside an update
-/// transaction, so an exception raised beneath them would std::terminate.
+/// Dooming.  A speculation that hits a conflict, footprint overflow, free
+/// or allocation is *doomed* (`aborted` set): it will not commit, and the
+/// engine re-runs the closure on the slow path.  A doomed run keeps
+/// executing to completion in a sandboxed pass-through mode: throwing there
+/// would be fatal, since data-structure destructors are implicitly noexcept
+/// and routinely call tmDelete (and pstore) from inside an update
+/// transaction.  Allocation is the one doom point that may end the run with
+/// SpecAbort, because it already throws std::bad_alloc: the speculation's
+/// first allocation of at most kSandboxBytes is served from `sandbox` (a
+/// one-insert closure finishes its short tail, cheaper than unwinding),
+/// and any other allocation throws (a populate batch or a large payload
+/// ends at once instead of running its whole body twice).
 /// Doomed-mode rules keep the continuation safe: loads are word-atomic (no
 /// torn pointers), stores stay buffered (read-your-writes) or are dropped
-/// once the hard cap is exhausted, allocations are served from a volatile
-/// scratch arena, and frees are ignored — every effect is discarded with
-/// the speculation.
+/// once the hard cap is exhausted or the store alone spans more lines than
+/// it, and frees are ignored — every effect is discarded with the
+/// speculation.
 struct SpecBuffer {
     static constexpr unsigned kLineCap = 64;   ///< hard footprint bound
     /// Read-set bound in stripe observations; past it the speculation is
@@ -180,25 +193,25 @@ struct SpecBuffer {
     uint64_t rv = 0;       ///< fast-path clock snapshot at speculation start
     bool aborted = false;  ///< doomed: running to completion, will not commit
 
-    /// Doomed-mode allocation arena: tmNew inside a speculation that can no
-    /// longer commit must still return usable memory (the closure keeps
-    /// executing, possibly beneath noexcept frames), so requests are served
-    /// from volatile scratch blocks and discarded with the speculation.
-    std::vector<std::unique_ptr<uint8_t[]>> scratch;
-
-    void* scratch_alloc(size_t n) {
-        scratch.emplace_back(new uint8_t[n + kLineSize - 1]);
-        const auto p = reinterpret_cast<uintptr_t>(scratch.back().get());
-        return reinterpret_cast<void*>((p + kLineSize - 1) &
-                                       ~uintptr_t{kLineSize - 1});
-    }
+    /// Volatile memory for the speculation's first allocation; it dies
+    /// with the speculation.
+    static constexpr size_t kSandboxBytes = 256;
+    alignas(kLineSize) uint8_t sandbox[kSandboxBytes];
+    bool sandbox_used = false;
 
     void begin(unsigned max_lines, uint64_t read_version) {
         nw = nr = 0;
         wcap = max_lines < kLineCap ? max_lines : kLineCap;
         rv = read_version;
         aborted = false;
-        scratch.clear();
+        sandbox_used = false;
+    }
+    /// The sandbox for an allocation of n bytes, or nullptr when it is
+    /// taken or too small: the caller then ends the run with SpecAbort.
+    void* sandbox_alloc(size_t n) {
+        if (sandbox_used || n > kSandboxBytes) return nullptr;
+        sandbox_used = true;
+        return sandbox;
     }
     WLine* find(uint64_t line_off) {
         for (unsigned i = 0; i < nw; ++i)
@@ -219,7 +232,7 @@ struct SpecBuffer {
 };
 
 /// Doom the speculation: it keeps executing but will not commit.  Never
-/// throws (see the SpecBuffer doc for why throwing would be fatal).
+/// throws (see the SpecBuffer doc for why only allocation may).
 inline void spec_doom(SpecBuffer& b) { b.aborted = true; }
 
 /// Copy [src, src+n) with single-instruction loads for every aligned 8-byte
@@ -296,31 +309,35 @@ inline SpecBuffer::WLine* spec_capture_line(SpecBuffer& fp,
 
 /// Buffered store to [base+off, base+off+n): every touched line is captured
 /// once, then overwritten in the buffer only — the heap is untouched until
-/// the engine's durable apply.
+/// the engine's durable apply.  A store spanning more lines than kLineCap
+/// can never commit, so it dooms the speculation before capturing any of
+/// them.
 inline void spec_store(SpecBuffer& fp, StripeLockTable& stripes, uint8_t* base,
                        uint64_t off, const void* src, size_t n) {
+    constexpr uint64_t kLine = SpecBuffer::kLineSize;
+    const bool oversized =
+        n > 0 && (off + n - 1) / kLine - off / kLine >= SpecBuffer::kLineCap;
+    if (oversized) spec_doom(fp);
     const uint8_t* from = static_cast<const uint8_t*>(src);
     while (n > 0) {
-        if (fp.aborted && fp.nw >= SpecBuffer::kLineCap) {
-            // Doomed with a full write set: no further line can be captured,
-            // so only the captured lines inside the rest of the range take
-            // bytes.  One pass over them instead of a find() per line keeps a
-            // large payload store linear; read-your-writes is unchanged.
+        if (oversized || (fp.aborted && fp.nw >= SpecBuffer::kLineCap)) {
+            // No further line will be captured, so only the captured lines
+            // inside the rest of the range take bytes.  One pass over them
+            // instead of a find() per line keeps a large payload store
+            // linear; read-your-writes holds for every captured line.
             const uint64_t end = off + n;
             for (unsigned i = 0; i < fp.nw; ++i) {
                 SpecBuffer::WLine& wl = fp.wlines[i];
                 const uint64_t lo = std::max(wl.line_off, off);
-                const uint64_t hi =
-                    std::min(wl.line_off + SpecBuffer::kLineSize, end);
+                const uint64_t hi = std::min(wl.line_off + kLine, end);
                 if (lo < hi)
                     std::memcpy(wl.data + (lo - wl.line_off), from + (lo - off),
                                 hi - lo);
             }
             return;
         }
-        const uint64_t line = off & ~uint64_t{SpecBuffer::kLineSize - 1};
-        const size_t take =
-            std::min<size_t>(n, line + SpecBuffer::kLineSize - off);
+        const uint64_t line = off & ~(kLine - 1);
+        const size_t take = std::min<size_t>(n, line + kLine - off);
         SpecBuffer::WLine* wl = fp.find(line);
         if (wl == nullptr) wl = spec_capture_line(fp, stripes, base, line);
         if (wl != nullptr) std::memcpy(wl->data + (off - line), from, take);

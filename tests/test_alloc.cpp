@@ -20,8 +20,9 @@ class AllocTest : public ::testing::Test {
         pmem::set_profile(pmem::Profile::NOP);
         // These closures accumulate pointers into captured containers, which
         // is not restartable under the §4.11 speculative fast path (a doomed
-        // run would push scratch-arena pointers); they exercise the slow-path
-        // allocator anyway, so pin the fast path off.
+        // run may push a sandbox pointer, and whatever it did before its
+        // run ended is done again by the slow-path re-run); they exercise
+        // the slow-path allocator anyway, so pin the fast path off.
         update_config().fastpath = false;
         session_ = std::make_unique<test::EngineSession<E>>(32u << 20, "alloc");
     }

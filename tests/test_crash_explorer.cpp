@@ -119,6 +119,21 @@ TEST(RomverCommitPath, RedundantPwbCountOn8KBTxFeedsCommitStats) {
     pmem::reset_tl_commit_stats();
 }
 
+// The redo baseline's commit writes its log's count and entries back once:
+// count shares ThreadLog's first line with the first entries.
+TEST(RomverCommitPath, RedoCommitWritesNoLineBackTwice) {
+    for (size_t tx_bytes : {size_t(8192), size_t(64)}) {
+        RomverHarness<baselines::RedoLogPTM> harness(
+            config_for<baselines::RedoLogPTM>("romver_redo_redundant",
+                                              tx_bytes));
+        harness.record();
+        GraphAnalysis ga = harness.analyze();
+        EXPECT_TRUE(ga.clean()) << ga.report();
+        EXPECT_EQ(ga.redundant_pwbs, 0u)
+            << "tx_bytes " << tx_bytes << "\n" << ga.report();
+    }
+}
+
 // A deliberately wasteful flush sequence must show up in the same counter —
 // proving the diagnostic measures flushes, not luck.
 TEST(RomverCommitPath, SyntheticDoubleFlushIsCounted) {

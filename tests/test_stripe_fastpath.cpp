@@ -1,11 +1,12 @@
 // Stripe-locked speculative update fast path (DESIGN.md §4.11).
 //
 // Unit tests for the stripe table and the speculation buffer (including the
-// no-throw doomed-continuation rules), per-engine fast-path behaviour with
-// counter witnesses (commit, fallback, user-exception abort, footprint
-// overflow, knob-off), the fast path's group apply (one durable window for
-// every announced write set; NT line images), the shared env-knob parser,
-// and every-fence crash sweeps of traces that commit through the fast path.
+// doomed-continuation rules), per-engine fast-path behaviour with counter
+// witnesses (commit, fallback, allocation abort, user-exception abort,
+// footprint overflow, knob-off), the fast path's group apply (one durable
+// window for every announced write set; NT line images), the shared
+// env-knob parser, and every-fence crash sweeps of traces that commit
+// through the fast path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -175,19 +176,47 @@ TEST(SpecBuffer, LargeStoreIntoFullDoomedWriteSetUpdatesCapturedLines) {
     for (size_t i = 0; i < kHeap; ++i) ASSERT_EQ(heap[i], 0u) << i;
 }
 
-TEST(SpecBuffer, ScratchAllocReturnsAlignedDistinctBlocks) {
+// A store spanning more lines than the write set can ever hold dooms a fresh
+// speculation without capturing a line; one of exactly kLineCap lines is
+// still captured.
+TEST(SpecBuffer, OversizedStoreDoomsWithoutCapturingALine) {
+    static constexpr size_t kBig = 100000;
+    alignas(64) static uint8_t heap[kBig + 128];
+    std::memset(heap, 0, sizeof(heap));
+    sync::StripeLockTable t(64);
+    std::vector<uint8_t> big(kBig, 0xC3);
+    sync::SpecBuffer b;
+    b.begin(/*max_lines=*/8, t.clock_now());
+    sync::spec_store(b, t, heap, 40, big.data(), big.size());
+    EXPECT_TRUE(b.aborted);
+    EXPECT_EQ(b.nw, 0u);
+    for (size_t i = 0; i < sizeof(heap); ++i) ASSERT_EQ(heap[i], 0u) << i;
+
+    constexpr size_t kCapBytes = sync::SpecBuffer::kLineCap * 64;
+    b.begin(/*max_lines=*/sync::SpecBuffer::kLineCap, t.clock_now());
+    sync::spec_store(b, t, heap, 64, big.data(), kCapBytes);
+    EXPECT_FALSE(b.aborted);
+    EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
+    b.begin(/*max_lines=*/sync::SpecBuffer::kLineCap, t.clock_now());
+    sync::spec_store(b, t, heap, 65, big.data(), kCapBytes);  // one line more
+    EXPECT_TRUE(b.aborted);
+    EXPECT_EQ(b.nw, 0u);
+}
+
+// A speculation gets one small sandboxed allocation: the block is aligned and
+// writable, a second request or one larger than the sandbox is refused (the
+// engine then ends the run), and begin() hands the sandbox out again.
+TEST(SpecBuffer, SandboxServesOneSmallAllocationPerSpeculation) {
     sync::SpecBuffer b;
     b.begin(8, 0);
-    void* a = b.scratch_alloc(48);
-    void* c = b.scratch_alloc(1);
+    EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes + 1), nullptr);
+    void* a = b.sandbox_alloc(48);
     ASSERT_NE(a, nullptr);
-    ASSERT_NE(c, nullptr);
-    EXPECT_NE(a, c);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
     std::memset(a, 0xAB, 48);  // writable
-    b.begin(8, 0);  // re-begin discards scratch
-    EXPECT_TRUE(b.scratch.empty());
+    EXPECT_EQ(b.sandbox_alloc(1), nullptr);
+    b.begin(8, 0);
+    EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes), a);
 }
 
 // ------------------------------------------------- engine fast-path typed
@@ -242,21 +271,115 @@ TYPED_TEST(StripeFastPath, SmallDisjointUpdateCommitsThroughFastPath) {
     EXPECT_EQ(got, 10u);
 }
 
+// An allocating closure re-runs on the slow path and the caller sees no
+// exception.
 TYPED_TEST(StripeFastPath, AllocatingTxFallsBackWithoutThrowing) {
     using E = TypeParam;
     const auto& cs = pmem::tl_commit_stats();
+    const uint64_t aborts0 = cs.fastpath_aborts;
     const uint64_t fallbacks0 = cs.fastpath_fallbacks;
     using PU = typename E::template p<uint64_t>;
-    PU* obj = nullptr;
+    // The speculation's first small allocation is sandboxed and the run goes
+    // on; its second allocation ends the run.  Code before that runs twice
+    // (doomed run, slow-path run), code after it once.
+    int before = 0, after = 0;
     E::updateTx([&] {
-        obj = static_cast<PU*>(E::alloc_bytes(8));
+        ++before;
+        PU* obj = static_cast<PU*>(E::alloc_bytes(8));
         *obj = 77u;
+        PU* obj2 = static_cast<PU*>(E::alloc_bytes(8));
+        ++after;
+        *obj2 = 78u;
+        E::put_object(3, obj);
+        E::put_object(4, obj2);
+    });
+    EXPECT_EQ(before, 2);
+    EXPECT_EQ(after, 1);
+    EXPECT_EQ(cs.fastpath_aborts - aborts0, 1u);
+    EXPECT_EQ(cs.fastpath_fallbacks - fallbacks0, 1u);
+    uint64_t got = 0, got2 = 0;
+    E::readTx([&] {
+        got = E::template get_object<PU>(3)->pload();
+        got2 = E::template get_object<PU>(4)->pload();
+    });
+    EXPECT_EQ(got, 77u);
+    EXPECT_EQ(got2, 78u);
+}
+
+// A one-allocation closure finishes its doomed run in the sandbox (the code
+// after the allocation runs in both runs); a first allocation larger than
+// the sandbox ends the run at once.
+TYPED_TEST(StripeFastPath, OneSmallAllocationRunsSandboxedALargeOneEndsTheRun) {
+    using E = TypeParam;
+    using PU = typename E::template p<uint64_t>;
+    const auto& cs = pmem::tl_commit_stats();
+    const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+    int after = 0;
+    E::updateTx([&] {
+        PU* obj = static_cast<PU*>(E::alloc_bytes(8));
+        ++after;
+        *obj = 5u;
         E::put_object(3, obj);
     });
-    EXPECT_GT(cs.fastpath_fallbacks, fallbacks0);
-    uint64_t got = 0;
-    E::readTx(
-        [&] { got = E::template get_object<PU>(3)->pload(); });
+    EXPECT_EQ(after, 2);
+    int after_big = 0;
+    E::updateTx([&] {
+        PU* big = static_cast<PU*>(
+            E::alloc_bytes(sync::SpecBuffer::kSandboxBytes + 8));
+        ++after_big;
+        *big = 6u;
+        E::put_object(4, big);
+    });
+    EXPECT_EQ(after_big, 1);
+    EXPECT_EQ(cs.fastpath_fallbacks - fallbacks0, 2u);
+    uint64_t got = 0, got_big = 0;
+    E::readTx([&] {
+        got = E::template get_object<PU>(3)->pload();
+        got_big = E::template get_object<PU>(4)->pload();
+    });
+    EXPECT_EQ(got, 5u);
+    EXPECT_EQ(got_big, 6u);
+}
+
+// The abort an allocation raises is engine-internal: a closure that swallows
+// it with catch (...) still falls back, and the slow-path run's result is
+// what commits.  It is not a std::bad_alloc.  (The allocation is larger than
+// the speculation's sandbox, so it is the one that ends the run.)
+TYPED_TEST(StripeFastPath, SwallowedAllocationAbortStillFallsBack) {
+    using E = TypeParam;
+    using PU = typename E::template p<uint64_t>;
+    auto* arr = this->setup_counters();
+    const auto& cs = pmem::tl_commit_stats();
+    const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+    int caught_any = 0, caught_bad_alloc = 0;
+    E::updateTx([&] {
+        PU* obj = nullptr;
+        try {
+            obj = static_cast<PU*>(
+                E::alloc_bytes(sync::SpecBuffer::kSandboxBytes + 8));
+        } catch (const std::bad_alloc&) {
+            ++caught_bad_alloc;
+            throw;
+        } catch (...) {
+            ++caught_any;
+        }
+        if (obj == nullptr) {
+            arr[0] = 111u;  // the doomed run's store: must never land
+            return;
+        }
+        *obj = 77u;
+        E::put_object(3, obj);
+        arr[0] = 222u;
+    });
+    EXPECT_EQ(caught_any, 1);
+    EXPECT_EQ(caught_bad_alloc, 0);
+    EXPECT_EQ(cs.fastpath_fallbacks - fallbacks0, 1u);
+    uint64_t counter = 0, got = 0;
+    E::readTx([&] {
+        counter = arr[0].pload();
+        got = E::template get_object<PU>(3)->pload();
+    });
+    EXPECT_EQ(counter, 222u);
     EXPECT_EQ(got, 77u);
 }
 

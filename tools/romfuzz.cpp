@@ -26,7 +26,8 @@
 //
 //   romfuzz [--engine all|nl|log|lr|undo|redo] [--shards 1,4] [--iters N]
 //           [--seed N] [--mode explore|fork|sigkill|both] [--ops N]
-//           [--setup N] [--keys N] [--value-max N] [--batch-ops N]
+//           [--setup N] [--keys N] [--value-min N] [--value-max N]
+//           [--batch-ops N]
 //           [--readers N] [--budget N] [--window-samples N]
 //           [--exhaustive-cap N] [--fork-crashes N] [--heap-mb N] [--out DIR]
 //           [--mutate none|elide-fence|reorder-state] [--expect-violations]
@@ -83,7 +84,8 @@ struct Cli {
     std::cerr
         << "usage: romfuzz [--engine all|nl|log|lr|undo|redo] [--shards 1,4]"
            " [--iters N] [--seed N] [--mode explore|fork|sigkill|both]"
-           " [--ops N] [--setup N] [--keys N] [--value-max N] [--batch-ops N]"
+           " [--ops N] [--setup N] [--keys N] [--value-min N] [--value-max N]"
+           " [--batch-ops N]"
            " [--readers N] [--budget N] [--window-samples N]"
            " [--exhaustive-cap N] [--fork-crashes N] [--heap-mb N]"
            " [--out DIR] [--mutate none|elide-fence|reorder-state]"
@@ -301,6 +303,8 @@ int main(int argc, char** argv) {
             cli.gen.setup_ops = unsigned(std::stoul(next(a.c_str())));
         else if (a == "--keys")
             cli.gen.key_space = unsigned(std::stoul(next(a.c_str())));
+        else if (a == "--value-min")
+            cli.gen.value_min = unsigned(std::stoul(next(a.c_str())));
         else if (a == "--value-max")
             cli.gen.value_max = unsigned(std::stoul(next(a.c_str())));
         else if (a == "--batch-ops")
@@ -326,6 +330,8 @@ int main(int argc, char** argv) {
     if (cli.mode != "explore" && cli.mode != "fork" && cli.mode != "sigkill" &&
         cli.mode != "both")
         usage("unknown --mode " + cli.mode);
+    if (cli.gen.value_min > cli.gen.value_max)
+        usage("--value-min must not exceed --value-max");
 
     if (std::string tuned = apply_env_tuning(); !tuned.empty())
         std::cout << "env tuning: " << tuned << "\n";
