@@ -26,11 +26,11 @@
 #             episodes, then the same with the stripe fast path pinned on
 #             and with values up to 2 KB (streamed payloads), then a
 #             sigkill pass (children SIGKILLed after a drawn store), then
-#             RomulusNL/Log with every value 8 KB (in-place overwrites too
-#             large for the fast path's write set doom their speculation).
-#             Fixed
-#             seeds and bounded budgets keep it deterministic and fast; nightly
-#             runs raise the budget via ROMFUZZ_ITERS / ROMFUZZ_CRASHES.
+#             RomulusNL/Log with every value 8 KB (an in-place overwrite too
+#             large for the fast path's write set is dropped, and its
+#             speculation ends at its next load).  Fixed seeds and bounded
+#             budgets keep it deterministic and fast; nightly runs raise
+#             the budget via ROMFUZZ_ITERS / ROMFUZZ_CRASHES.
 #             Repro bundles from any failure land in
 #             build/check/fuzz/romfuzz-bundles*/ (CI uploads them as
 #             artifacts).
@@ -133,11 +133,11 @@ run_leg() {
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-1}" \
             --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
             --out "$bundles"
-        # Second pass with the stripe fast path pinned on and a generous
-        # footprint cap, so the randomized histories commit through the
-        # speculative path too (§4.11) — crash images of torn fast-path
-        # commits must recover all-or-nothing like every other commit.
-        ROMULUS_UPDATE_FASTPATH=1 ROMULUS_UPDATE_MAX_LINES=32 \
+        # Second pass with the stripe fast path pinned on, so the randomized
+        # histories commit through the speculative path too (§4.11) — crash
+        # images of torn fast-path commits must recover all-or-nothing like
+        # every other commit.
+        ROMULUS_UPDATE_FASTPATH=1 \
             "$dir/tools/romfuzz" --engine all --shards 1,4 \
             --iters "${ROMFUZZ_ITERS:-24}" --seed "${ROMFUZZ_SEED:-2}" \
             --mode both --fork-crashes "${ROMFUZZ_CRASHES:-3}" \
@@ -159,8 +159,9 @@ run_leg() {
             --out "$bundles-sigkill"
         # Fifth pass, on the engines with the stripe fast path, with every
         # value 8 KB: a value over 4 KB spans more lines than a
-        # speculation's write set holds, so its store dooms the run before
-        # capturing a line (DESIGN.md §4.11).  KVStore overwrites a value in
+        # speculation's write set holds, so its store is dropped before
+        # capturing a line and the run ends at its next load (DESIGN.md
+        # §4.11).  KVStore overwrites a value in
         # place only when the new one has the same length, so the length is
         # fixed; drawn from [0, 8192] no history reached that store.  A new
         # key's put ends its speculation at its second allocation (the node

@@ -80,9 +80,6 @@ std::string apply_env_tuning() {
     }
     env_long("ROMULUS_UPDATE_FASTPATH", 0,
              [](long n) { update_config().fastpath = n != 0; });
-    env_long("ROMULUS_UPDATE_MAX_LINES", 1, [](long n) {
-        update_config().max_fastpath_lines = static_cast<unsigned>(n);
-    });
     return os.str();
 }
 

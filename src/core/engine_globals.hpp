@@ -67,10 +67,6 @@ struct UpdateConfig {
     /// writer-lock / flat-combining slow path (the pre-§4.11 behaviour) —
     /// the A/B control for bench_stripe_updates.
     bool fastpath = true;
-    /// Write-footprint cap in cache lines; a speculative transaction whose
-    /// write set grows past this aborts to the slow path (large writers
-    /// amortize the shard lock fine; the fast path targets small updates).
-    unsigned max_fastpath_lines = 8;
 };
 UpdateConfig& update_config();
 
@@ -100,7 +96,6 @@ bool env_to_long(const char* name, long lo, long* out);
 ///   ROMULUS_NT_THRESHOLD=<bytes>     CommitConfig::nt_threshold
 ///                                    (18446744073709551615: never stream)
 ///   ROMULUS_UPDATE_FASTPATH=0|1     UpdateConfig::fastpath
-///   ROMULUS_UPDATE_MAX_LINES=<n>    UpdateConfig::max_fastpath_lines (>= 1)
 /// Returns a human-readable summary of the overrides applied (empty when
 /// none).  Call from tool main()s before any engine init; knobs are
 /// process-wide and read on every transaction.

@@ -23,7 +23,7 @@
 // this log: its sync::SpecBuffer write set already holds the touched lines
 // deduplicated and sorted, so the fast-path apply coalesces adjacent lines
 // into maximal flush/replication runs itself, mirroring merged_runs() for a
-// footprint that is bounded by UpdateConfig::max_fastpath_lines.  Only the
+// footprint that is bounded by sync::SpecBuffer::kWriteCap.  Only the
 // C-RW-WP slow path — where the write set is unbounded — pays for the
 // table.
 #pragma once

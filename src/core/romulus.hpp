@@ -297,16 +297,9 @@ class RomulusEngine {
     /// ordering: CPY must never be durable with a stale used_size, or the
     /// main->back copy would miss committed bytes).
     static void note_used(const void* end) {
-        if constexpr (!Traits::kUseLR) {
-            // The fast path never allocates from the shard heap (alloc_bytes
-            // serves the sandbox or ends the speculation first), so a
-            // used_size growth notification means the speculation escaped
-            // its footprint contract: doom it and leave the header alone.
-            if (tl.fp_active) {
-                fp_doom();
-                return;
-            }
-        }
+        // The fast path never allocates from the shard heap: alloc_bytes
+        // serves the sandbox or ends the speculation first.
+        assert(!tl.fp_active);
         Shard& sh = current_shard();
         uint64_t off = static_cast<const uint8_t*>(end) - sh.main;
         if (off > sh.hdr->used_size.load(std::memory_order_relaxed)) {
@@ -570,7 +563,12 @@ class RomulusEngine {
     template <typename T>
     static void tmDelete(T* obj) {
         if (obj == nullptr) return;
+        // A destructor is implicitly noexcept: inside one, a speculation's
+        // loads read on instead of ending the run (SpecBuffer::dtor_depth).
+        const bool spec = tl.fp_active;
+        if (spec) ++tl_fp().dtor_depth;
         obj->~T();
+        if (spec) --tl_fp().dtor_depth;
         free_bytes(obj);
     }
 
@@ -1176,14 +1174,16 @@ class RomulusEngine {
     //      write set of whole cache lines and every pload validated against
     //      the line's stripe word (locked, or version > the start-time clock
     //      snapshot rv => abort).  Footprint overflow, frees and
-    //      cross-shard access doom the speculation — it keeps executing to
-    //      completion in SpecBuffer's sandboxed pass-through mode (these
-    //      dooms never throw: closures run noexcept destructors) and the
-    //      closure is re-run on the slow path afterwards.  An allocation
-    //      dooms it too: the first one, if small, is served from
-    //      SpecBuffer's sandbox, and any other ends the run at once with
-    //      sync::SpecAbort.  A store spanning more lines than the write set
-    //      holds dooms it without capturing any line.
+    //      cross-shard access doom the speculation — it keeps executing in
+    //      SpecBuffer's sandboxed pass-through mode (these dooms never
+    //      throw: closures run noexcept destructors) and the closure is
+    //      re-run on the slow path afterwards.  An allocation dooms it too:
+    //      the first one, if small, is served from SpecBuffer's sandbox, and
+    //      any other ends the run at once with sync::SpecAbort.  A doomed
+    //      run that drops a store (past the hard cap, a store spanning more
+    //      lines than it, a cross-shard or header store) ends with
+    //      SpecAbort at its next load, unless it is unwinding or inside
+    //      tmDelete's destructor call.
     //   3. Commit: try-acquire the write set's stripes in canonical
     //      (sorted) order, validate captured-line versions and the read
     //      set, advance the shard's fast-path clock to wv, and announce the
@@ -1211,14 +1211,13 @@ class RomulusEngine {
     /// Buffered store: every touched line is captured, then overwritten in
     /// the buffer only (sync::spec_store).  Anything outside the current
     /// shard's main half is either a volatile test object (plain store) or a
-    /// cross-shard / header write the stripes cannot guard — those doom the
-    /// speculation and the store is dropped (the slow-path re-run performs
-    /// the real one).
+    /// cross-shard / header write the stripes cannot guard — that store is
+    /// dropped (the slow-path re-run performs the real one).
     static void fp_store(void* addr, const void* src, size_t n) {
         Shard& sh = current_shard();
         if (!in_shard_main(sh, addr)) {
             if (s.initialized && s.region.contains(addr)) {
-                fp_doom();
+                sync::spec_drop(tl_fp());
                 return;
             }
             std::memcpy(addr, src, n);
@@ -1231,23 +1230,25 @@ class RomulusEngine {
 
     /// Validated load: buffered lines read from the write set; everything
     /// else is read from main and checked against its stripe word
-    /// (sync::spec_load).
+    /// (sync::spec_load).  A run that has dropped a store ends here.
     static void fp_load(void* dst, const void* src, size_t n) {
+        FpTx& fp = tl_fp();
+        if (fp.load_ends_run()) throw sync::SpecAbort{};
         Shard& sh = current_shard();
         if (!in_shard_main(sh, src)) {
             if (s.initialized && s.region.contains(src) &&
                 owning_shard_main(src) != nullptr) {
                 // Cross-shard read: not stripe-guarded.  Doom and read raw
                 // (word-atomic — that shard's applier may be mid-commit).
-                fp_doom();
+                sync::spec_doom(fp);
                 sync::word_atomic_copy(dst, src, n);
                 return;
             }
             std::memcpy(dst, src, n);
             return;
         }
-        sync::spec_load(tl_fp(), sh.stripes, sh.main, main_offset(sh, src),
-                        dst, n);
+        sync::spec_load(fp, sh.stripes, sh.main, main_offset(sh, src), dst,
+                        n);
     }
 
     template <typename F>
@@ -1255,8 +1256,7 @@ class RomulusEngine {
         const int t = sync::tid();
         if (!sh.rwlock.try_read_lock(t)) return false;  // slow writer active
         FpTx& fp = tl_fp();
-        const UpdateConfig& cfg = update_config();
-        fp.begin(cfg.max_fastpath_lines, sh.stripes.clock_now());
+        fp.begin(sh.stripes.clock_now());
         tl.shard = shard_id;
         tl.tx_depth = 1;  // nested updateTx/readTx/put_object contracts hold
         tl.fp_active = true;
@@ -1266,12 +1266,13 @@ class RomulusEngine {
             f();
             ok = !fp.aborted;
         } catch (...) {
-            // A user exception, or the SpecAbort an allocation raises after
-            // dooming the run.  Nothing was applied, so the transaction is a
-            // no-op either way; but only surface the exception off an
-            // undoomed, still-valid read set — a doomed run's exception is
-            // SpecAbort or may be an artifact of its inconsistent view, so
-            // retry on the slow path instead of raising a phantom.
+            // A user exception, or the SpecAbort that ends a doomed run at an
+            // allocation or at a load after a dropped store.  Nothing was
+            // applied, so the transaction is a no-op either way; but only
+            // surface the exception off an undoomed, still-valid read set —
+            // a doomed run's exception is SpecAbort or may be an artifact of
+            // its inconsistent view, so retry on the slow path instead of
+            // raising a phantom.
             const bool consistent =
                 !fp.aborted &&
                 sync::spec_reads_valid(fp, sh.stripes, nullptr, 0);

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <memory>
 
 #include "analysis/race_hooks.hpp"
@@ -138,13 +139,13 @@ class StripeLockTable {
     alignas(64) std::atomic<uint64_t> clock_{0};
 };
 
-/// Internal control-flow exception: an allocation inside a speculation
-/// that SpecBuffer::sandbox_alloc cannot serve.  Allocator metadata is not
+/// Internal control-flow exception that ends a doomed speculation at once:
+/// thrown by RomulusNL/RomulusLog's alloc_bytes for an allocation that
+/// SpecBuffer::sandbox_alloc cannot serve (allocator metadata is not
 /// stripe-guarded, so an allocating transaction can never commit
-/// speculatively; RomulusNL/RomulusLog's alloc_bytes dooms the run and
-/// throws this to end it at once instead of finishing it sandboxed.  Caught
-/// by try_fastpath_update, which re-runs the closure on the slow path; never
-/// escapes to the user.
+/// speculatively), and by their interposed loads once the run has dropped a
+/// store (SpecBuffer::load_ends_run).  Caught by try_fastpath_update, which
+/// re-runs the closure on the slow path; never escapes to the user.
 struct SpecAbort {};
 
 /// Thread-local speculation state of RomulusNL/RomulusLog's update fast
@@ -156,22 +157,30 @@ struct SpecAbort {};
 /// Dooming.  A speculation that hits a conflict, footprint overflow, free
 /// or allocation is *doomed* (`aborted` set): it will not commit, and the
 /// engine re-runs the closure on the slow path.  A doomed run keeps
-/// executing to completion in a sandboxed pass-through mode: throwing there
-/// would be fatal, since data-structure destructors are implicitly noexcept
-/// and routinely call tmDelete (and pstore) from inside an update
-/// transaction.  Allocation is the one doom point that may end the run with
-/// SpecAbort, because it already throws std::bad_alloc: the speculation's
-/// first allocation of at most kSandboxBytes is served from `sandbox` (a
-/// one-insert closure finishes its short tail, cheaper than unwinding),
-/// and any other allocation throws (a populate batch or a large payload
-/// ends at once instead of running its whole body twice).
-/// Doomed-mode rules keep the continuation safe: loads are word-atomic (no
-/// torn pointers), stores stay buffered (read-your-writes) or are dropped
-/// once the hard cap is exhausted or the store alone spans more lines than
-/// it, and frees are ignored — every effect is discarded with the
-/// speculation.
+/// executing in a sandboxed pass-through mode: loads are word-atomic (no
+/// torn pointers), stores stay buffered in captured lines (read-your-
+/// writes), frees are ignored and the first small allocation is served from
+/// `sandbox` — every effect is discarded with the speculation.
+/// Throwing at a doom would often be fatal: data-structure destructors are
+/// implicitly noexcept and routinely call tmDelete (and pstore) inside an
+/// update transaction.  Two things end the run early with SpecAbort:
+///   * an allocation other than the first one of at most kSandboxBytes (it
+///     may already throw std::bad_alloc, and a one-insert closure finishes
+///     its short tail cheaper than unwinding it);
+///   * a load after the run *dropped* a store (`dropped`): a line past
+///     kLineCap, a single store spanning more than kLineCap lines, or a
+///     store the engine cannot buffer at all.  From then on the run's view
+///     matches no execution, and a relinking loop could run forever.  The
+///     load reads on instead while the thread unwinds or runs tmDelete's
+///     destructor call (`dtor_depth`), where a throw would call
+///     std::terminate.
 struct SpecBuffer {
-    static constexpr unsigned kLineCap = 64;   ///< hard footprint bound
+    /// Capture bound: a doomed run drops a store to any further line.
+    static constexpr unsigned kLineCap = 64;
+    /// Write-set bound in cache lines; a speculation that captures more is
+    /// doomed (large writers amortize the shard lock fine; the fast path
+    /// targets small updates).
+    static constexpr unsigned kWriteCap = 8;
     /// Read-set bound in stripe observations; past it the speculation is
     /// doomed (validation would cost more than the slow path charges).
     static constexpr unsigned kReadCap = 64;
@@ -189,9 +198,11 @@ struct SpecBuffer {
     WLine wlines[kLineCap];
     Observed rset[kReadCap];
     unsigned nw = 0, nr = 0;
-    unsigned wcap = 0;
     uint64_t rv = 0;       ///< fast-path clock snapshot at speculation start
-    bool aborted = false;  ///< doomed: running to completion, will not commit
+    bool aborted = false;  ///< doomed: will not commit
+    bool dropped = false;  ///< doomed and discarded a store
+    unsigned dtor_depth = 0;  ///< nesting of tmDelete destructor calls
+    int uncaught = 0;  ///< std::uncaught_exceptions() at begin
 
     /// Volatile memory for the speculation's first allocation; it dies
     /// with the speculation.
@@ -199,12 +210,20 @@ struct SpecBuffer {
     alignas(kLineSize) uint8_t sandbox[kSandboxBytes];
     bool sandbox_used = false;
 
-    void begin(unsigned max_lines, uint64_t read_version) {
+    void begin(uint64_t read_version) {
         nw = nr = 0;
-        wcap = max_lines < kLineCap ? max_lines : kLineCap;
         rv = read_version;
-        aborted = false;
+        aborted = dropped = false;
+        dtor_depth = 0;
+        uncaught = std::uncaught_exceptions();
         sandbox_used = false;
+    }
+    /// Whether the next load must end the run with SpecAbort: it dropped a
+    /// store, and the thread is neither unwinding nor inside a destructor
+    /// call of tmDelete.
+    bool load_ends_run() const {
+        return dropped && dtor_depth == 0 &&
+               std::uncaught_exceptions() <= uncaught;
     }
     /// The sandbox for an allocation of n bytes, or nullptr when it is
     /// taken or too small: the caller then ends the run with SpecAbort.
@@ -231,9 +250,12 @@ struct SpecBuffer {
     }
 };
 
-/// Doom the speculation: it keeps executing but will not commit.  Never
-/// throws (see the SpecBuffer doc for why only allocation may).
+/// Doom the speculation: it keeps executing but will not commit.
 inline void spec_doom(SpecBuffer& b) { b.aborted = true; }
+
+/// Doom the speculation because it discards a store: its next load ends the
+/// run (SpecBuffer::load_ends_run).
+inline void spec_drop(SpecBuffer& b) { b.aborted = b.dropped = true; }
 
 /// Copy [src, src+n) with single-instruction loads for every aligned 8-byte
 /// word.  A doomed speculation keeps reading live heap memory without
@@ -259,88 +281,80 @@ inline void word_atomic_copy(void* dst, const void* src, size_t n) {
     }
 }
 
-/// Capture a heap line into the write set: a validated snapshot of its
-/// current content (the unwritten bytes of the line must be current at
-/// apply time — the acquire-time version check re-verifies this).  On a
-/// conflict or footprint overflow the speculation is doomed and the line is
-/// captured best-effort anyway (word-atomic, unversioned) so buffered
-/// read-your-writes keeps holding; past the hard cap nullptr is returned
-/// and the caller drops the store.
-inline SpecBuffer::WLine* spec_capture_line(SpecBuffer& fp,
+/// Validated copy of [base+off, base+off+n), which lies inside one line:
+/// true when the line's stripe was unlocked at a version <= rv before the
+/// copy and unchanged after it (the re-read rejects bytes torn by a
+/// concurrent applier; the version check rejects bytes newer than the
+/// speculation's start-time snapshot).  `obs` receives the stripe and the
+/// word the copy is valid at.
+inline bool spec_validated_copy(const SpecBuffer& fp,
+                                const StripeLockTable& stripes,
+                                const uint8_t* base, uint64_t off, void* dst,
+                                size_t n, SpecBuffer::Observed& obs) {
+    obs.stripe = stripes.stripe_of_line(off / SpecBuffer::kLineSize);
+    obs.word = stripes.read(obs.stripe);
+    if (StripeLockTable::is_locked(obs.word) ||
+        StripeLockTable::version_of(obs.word) > fp.rv)
+        return false;
+    std::memcpy(dst, base + off, n);
+    return stripes.read(obs.stripe) == obs.word &&
+           ROMULUS_RACE_OPTIMISTIC_READ(stripes.word(obs.stripe), base + off,
+                                        n, obs.word, stripes.word(obs.stripe),
+                                        "stripe.validate");
+}
+
+/// Capture a heap line into the write set, which has room for it: a
+/// validated snapshot of its current content (the unwritten bytes of the
+/// line must be current at apply time — the acquire-time version check
+/// re-verifies this).  On a conflict or footprint overflow the speculation
+/// is doomed and the line is captured best-effort (word-atomic,
+/// unversioned) so buffered read-your-writes keeps holding.
+inline SpecBuffer::WLine& spec_capture_line(SpecBuffer& fp,
                                             StripeLockTable& stripes,
                                             uint8_t* base, uint64_t line_off) {
-    if (!fp.aborted) {
-        if (fp.nw >= fp.wcap) {
-            spec_doom(fp);  // footprint overflow: fall back to the slow path
-        } else {
-            const unsigned st =
-                stripes.stripe_of_line(line_off / SpecBuffer::kLineSize);
-            const StripeLockTable::Word w0 = stripes.read(st);
-            SpecBuffer::WLine& wl = fp.wlines[fp.nw];
-            if (StripeLockTable::is_locked(w0) ||
-                StripeLockTable::version_of(w0) > fp.rv) {
-                spec_doom(fp);
-            } else {
-                std::memcpy(wl.data, base + line_off, SpecBuffer::kLineSize);
-                if (stripes.read(st) == w0 &&  // torn-capture re-check
-                    ROMULUS_RACE_OPTIMISTIC_READ(
-                        stripes.word(st), base + line_off,
-                        SpecBuffer::kLineSize, w0, stripes.word(st),
-                        "stripe.validate")) {
-                    wl.line_off = line_off;
-                    wl.stripe = st;
-                    wl.version = StripeLockTable::version_of(w0);
-                    ++fp.nw;
-                    return &wl;
-                }
-                spec_doom(fp);
-            }
-        }
-    }
-    if (fp.nw >= SpecBuffer::kLineCap) return nullptr;
     SpecBuffer::WLine& wl = fp.wlines[fp.nw];
-    word_atomic_copy(wl.data, base + line_off, SpecBuffer::kLineSize);
+    SpecBuffer::Observed obs;
+    if (!fp.aborted && fp.nw < SpecBuffer::kWriteCap &&
+        spec_validated_copy(fp, stripes, base, line_off, wl.data,
+                            SpecBuffer::kLineSize, obs)) {
+        wl.stripe = obs.stripe;
+        wl.version = StripeLockTable::version_of(obs.word);
+    } else {
+        spec_doom(fp);
+        word_atomic_copy(wl.data, base + line_off, SpecBuffer::kLineSize);
+        wl.stripe = 0;
+        wl.version = 0;  // never consulted: a doomed buffer is not committed
+    }
     wl.line_off = line_off;
-    wl.stripe = 0;
-    wl.version = 0;  // never consulted: a doomed buffer is not committed
     ++fp.nw;
-    return &wl;
+    return wl;
 }
 
 /// Buffered store to [base+off, base+off+n): every touched line is captured
 /// once, then overwritten in the buffer only — the heap is untouched until
-/// the engine's durable apply.  A store spanning more lines than kLineCap
-/// can never commit, so it dooms the speculation before capturing any of
-/// them.
+/// the engine's durable apply.  A store that reaches a line past kLineCap
+/// drops its rest; one spanning more lines than kLineCap can never commit,
+/// so it is dropped whole before any line is captured.
 inline void spec_store(SpecBuffer& fp, StripeLockTable& stripes, uint8_t* base,
                        uint64_t off, const void* src, size_t n) {
     constexpr uint64_t kLine = SpecBuffer::kLineSize;
-    const bool oversized =
-        n > 0 && (off + n - 1) / kLine - off / kLine >= SpecBuffer::kLineCap;
-    if (oversized) spec_doom(fp);
+    if (n > 0 && (off + n - 1) / kLine - off / kLine >= SpecBuffer::kLineCap) {
+        spec_drop(fp);
+        return;
+    }
     const uint8_t* from = static_cast<const uint8_t*>(src);
     while (n > 0) {
-        if (oversized || (fp.aborted && fp.nw >= SpecBuffer::kLineCap)) {
-            // No further line will be captured, so only the captured lines
-            // inside the rest of the range take bytes.  One pass over them
-            // instead of a find() per line keeps a large payload store
-            // linear; read-your-writes holds for every captured line.
-            const uint64_t end = off + n;
-            for (unsigned i = 0; i < fp.nw; ++i) {
-                SpecBuffer::WLine& wl = fp.wlines[i];
-                const uint64_t lo = std::max(wl.line_off, off);
-                const uint64_t hi = std::min(wl.line_off + kLine, end);
-                if (lo < hi)
-                    std::memcpy(wl.data + (lo - wl.line_off), from + (lo - off),
-                                hi - lo);
-            }
-            return;
-        }
         const uint64_t line = off & ~(kLine - 1);
         const size_t take = std::min<size_t>(n, line + kLine - off);
         SpecBuffer::WLine* wl = fp.find(line);
-        if (wl == nullptr) wl = spec_capture_line(fp, stripes, base, line);
-        if (wl != nullptr) std::memcpy(wl->data + (off - line), from, take);
+        if (wl == nullptr) {
+            if (fp.nw == SpecBuffer::kLineCap) {
+                spec_drop(fp);
+                return;
+            }
+            wl = &spec_capture_line(fp, stripes, base, line);
+        }
+        std::memcpy(wl->data + (off - line), from, take);
         off += take;
         from += take;
         n -= take;
@@ -348,12 +362,10 @@ inline void spec_store(SpecBuffer& fp, StripeLockTable& stripes, uint8_t* base,
 }
 
 /// Validated load from [base+off, base+off+n): buffered lines read from the
-/// write set; everything else is read from the heap and checked against its
-/// stripe word (the post-load re-read rejects values torn by a concurrent
-/// applier; a version > rv rejects values newer than the speculation's
-/// start-time snapshot).  A failed validation or read-set overflow dooms
-/// the speculation and degrades this — and every later — unbuffered load
-/// to a word-atomic raw read.
+/// write set; everything else is a validated copy from the heap whose
+/// stripe observation joins the read set.  A failed validation or read-set
+/// overflow dooms the speculation and degrades this — and every later —
+/// unbuffered load to a word-atomic raw read.
 inline void spec_load(SpecBuffer& fp, StripeLockTable& stripes,
                       const uint8_t* base, uint64_t off, void* dst, size_t n) {
     uint8_t* out = static_cast<uint8_t*>(dst);
@@ -361,27 +373,15 @@ inline void spec_load(SpecBuffer& fp, StripeLockTable& stripes,
         const uint64_t line = off & ~uint64_t{SpecBuffer::kLineSize - 1};
         const size_t take =
             std::min<size_t>(n, line + SpecBuffer::kLineSize - off);
+        SpecBuffer::Observed obs;
         if (const SpecBuffer::WLine* wl = fp.find(line)) {
             std::memcpy(out, wl->data + (off - line), take);
-        } else {
-            bool validated = false;
-            if (!fp.aborted) {
-                const unsigned st =
-                    stripes.stripe_of_line(line / SpecBuffer::kLineSize);
-                const StripeLockTable::Word w0 = stripes.read(st);
-                if (!StripeLockTable::is_locked(w0) &&
-                    StripeLockTable::version_of(w0) <= fp.rv) {
-                    std::memcpy(out, base + off, take);
-                    if (stripes.read(st) == w0 &&
-                        ROMULUS_RACE_OPTIMISTIC_READ(
-                            stripes.word(st), base + off, take, w0,
-                            stripes.word(st), "stripe.validate") &&
-                        fp.record_read(st, w0))
-                        validated = true;
-                }
-                if (!validated) spec_doom(fp);
-            }
-            if (!validated) word_atomic_copy(out, base + off, take);
+        } else if (fp.aborted ||
+                   !spec_validated_copy(fp, stripes, base, off, out, take,
+                                        obs) ||
+                   !fp.record_read(obs.stripe, obs.word)) {
+            spec_doom(fp);
+            word_atomic_copy(out, base + off, take);
         }
         out += take;
         off += take;

@@ -215,11 +215,10 @@ FenceSweepStats run_trace_fence_sweep(const analysis::TxTrace& trace,
     return stats;
 }
 
-/// Fast-path-armed sweep: pins the stripe-locked speculative update path on
-/// (with a footprint generous enough for small KV updates), runs the normal
-/// every-fence sweep, and asserts the dry run actually committed through the
-/// stripe path — otherwise a sweep advertised as covering fast-path commit
-/// fences would silently cover only the slow path.  Crash injection inside
+/// Fast-path-armed sweep: pins the stripe-locked speculative update path on,
+/// runs the normal every-fence sweep, and asserts the dry run actually
+/// committed through the stripe path — otherwise a sweep advertised as
+/// covering fast-path commit fences would silently cover only the slow path.  Crash injection inside
 /// the group apply exercises the claim that torn fast-path commits recover
 /// through the unchanged twin-state machinery (DESIGN.md §4.11).
 template <typename E, typename Client = NullSweepClient>
@@ -229,7 +228,6 @@ FenceSweepStats run_trace_fence_sweep_fastpath(
     size_t heap_bytes = 12u << 20) {
     UpdateConfigGuard guard;
     update_config().fastpath = true;
-    update_config().max_fastpath_lines = 16;
     FenceSweepStats stats = run_trace_fence_sweep<E>(
         trace, path, opts, std::forward<Client>(client), heap_bytes);
     EXPECT_GT(stats.fastpath_commits, 0u)

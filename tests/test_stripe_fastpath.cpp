@@ -3,16 +3,22 @@
 // Unit tests for the stripe table and the speculation buffer (including the
 // doomed-continuation rules), per-engine fast-path behaviour with counter
 // witnesses (commit, fallback, allocation abort, user-exception abort,
-// footprint overflow, knob-off), the fast path's group apply (one durable
-// window for every announced write set; NT line images), the shared
-// env-knob parser, and every-fence crash sweeps of traces that commit
-// through the fast path.
+// footprint overflow, knob-off), watchdog-guarded liveness of doomed runs
+// that drop stores, the fast path's group apply (one durable window for
+// every announced write set; NT line images), the shared env-knob parser,
+// and every-fence crash sweeps of traces that commit through the fast path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +32,7 @@
 #include "analysis/tx_trace.hpp"
 #include "db/kvstore.hpp"
 #include "ds/pqueue.hpp"
+#include "ds/rb_tree.hpp"
 #include "fence_sweep.hpp"
 #include "pmem/checker.hpp"
 #include "pmem/sim_persistence.hpp"
@@ -92,7 +99,7 @@ TEST(SpecBuffer, BuffersStoresAndReadsThemBack) {
     sync::StripeLockTable t(64);
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
     sync::SpecBuffer b;
-    b.begin(8, t.clock_now());
+    b.begin(t.clock_now());
     uint64_t v = 42;
     sync::spec_store(b, t, g_spec_heap, 128, &v, 8);
     uint64_t got = 0;
@@ -104,22 +111,27 @@ TEST(SpecBuffer, BuffersStoresAndReadsThemBack) {
 }
 
 TEST(SpecBuffer, FootprintOverflowDoomsButKeepsReadYourWrites) {
+    constexpr unsigned kCap = sync::SpecBuffer::kWriteCap;
     sync::StripeLockTable t(64);
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
     sync::SpecBuffer b;
-    b.begin(/*max_lines=*/1, t.clock_now());
-    uint64_t v = 1;
-    sync::spec_store(b, t, g_spec_heap, 0, &v, 8);
+    b.begin(t.clock_now());
+    for (unsigned i = 0; i < kCap; ++i) {
+        const uint64_t v = i + 1;
+        sync::spec_store(b, t, g_spec_heap, uint64_t(i) * 64, &v, 8);
+    }
     EXPECT_FALSE(b.aborted);
-    v = 2;
-    sync::spec_store(b, t, g_spec_heap, 64, &v, 8);  // second line: overflow
-    EXPECT_TRUE(b.aborted);
+    const uint64_t v = kCap + 1;
+    sync::spec_store(b, t, g_spec_heap, uint64_t(kCap) * 64, &v, 8);
+    EXPECT_TRUE(b.aborted);  // one line past the write-set cap
+    EXPECT_FALSE(b.dropped);
     // The doomed continuation still sees its own writes (and never throws).
-    uint64_t got = 0;
-    sync::spec_load(b, t, g_spec_heap, 64, &got, 8);
-    EXPECT_EQ(got, 2u);
-    sync::spec_load(b, t, g_spec_heap, 0, &got, 8);
-    EXPECT_EQ(got, 1u);
+    for (unsigned i = 0; i <= kCap; ++i) {
+        uint64_t got = 0;
+        sync::spec_load(b, t, g_spec_heap, uint64_t(i) * 64, &got, 8);
+        EXPECT_EQ(got, i + 1u);
+    }
+    EXPECT_FALSE(b.load_ends_run());
 }
 
 TEST(SpecBuffer, NewerStripeVersionDoomsLoadButStillReadsRaw) {
@@ -127,7 +139,7 @@ TEST(SpecBuffer, NewerStripeVersionDoomsLoadButStillReadsRaw) {
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
     g_spec_heap[256] = 0x5A;
     sync::SpecBuffer b;
-    b.begin(8, /*read_version=*/0);
+    b.begin(/*read_version=*/0);
     const unsigned st = t.stripe_of_line(256 / 64);
     sync::StripeLockTable::Word pre;
     ASSERT_TRUE(t.try_acquire(st, pre));
@@ -144,41 +156,31 @@ TEST(SpecBuffer, LargeStoreIntoFullDoomedWriteSetUpdatesCapturedLines) {
     std::memset(heap, 0, kHeap);
     sync::StripeLockTable t(64);
     sync::SpecBuffer b;
-    b.begin(/*max_lines=*/8, t.clock_now());
+    b.begin(t.clock_now());
     // Touch every other line until the write set holds kLineCap lines: the
-    // speculation dooms at line 9 and keeps capturing best-effort to the cap.
+    // speculation dooms past kWriteCap and keeps capturing best-effort to
+    // the cap, dropping nothing.
     for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i) {
         const uint8_t v = 1;
         sync::spec_store(b, t, heap, uint64_t(i) * 128, &v, 1);
     }
     ASSERT_TRUE(b.aborted);
+    ASSERT_FALSE(b.dropped);
     ASSERT_EQ(b.nw, sync::SpecBuffer::kLineCap);
-    // An unaligned store across captured and uncapturable lines: the
-    // captured ones take its bytes, the rest are dropped, the heap stays
-    // untouched.
+    // An unaligned store across captured and uncapturable lines is dropped:
+    // the run will end at its next load, and the heap stays untouched.
     std::vector<uint8_t> big(12000);
     for (size_t i = 0; i < big.size(); ++i) big[i] = uint8_t(i * 7 + 3);
-    const uint64_t at = 40;
-    sync::spec_store(b, t, heap, at, big.data(), big.size());
+    sync::spec_store(b, t, heap, 40, big.data(), big.size());
+    EXPECT_TRUE(b.dropped);
+    EXPECT_TRUE(b.load_ends_run());
     EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
-    for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i) {
-        const uint64_t line = uint64_t(i) * 128;
-        uint8_t got[64];
-        sync::spec_load(b, t, heap, line, got, 64);
-        for (uint64_t o = 0; o < 64; ++o) {
-            const uint64_t addr = line + o;
-            const uint8_t want = addr >= at && addr < at + big.size()
-                                     ? big[addr - at]
-                                     : uint8_t(o == 0 ? 1 : 0);
-            ASSERT_EQ(got[o], want) << "line " << i << " byte " << o;
-        }
-    }
     for (size_t i = 0; i < kHeap; ++i) ASSERT_EQ(heap[i], 0u) << i;
 }
 
 // A store spanning more lines than the write set can ever hold dooms a fresh
-// speculation without capturing a line; one of exactly kLineCap lines is
-// still captured.
+// speculation and is dropped without capturing a line; one of exactly
+// kLineCap lines is still captured whole.
 TEST(SpecBuffer, OversizedStoreDoomsWithoutCapturingALine) {
     static constexpr size_t kBig = 100000;
     alignas(64) static uint8_t heap[kBig + 128];
@@ -186,20 +188,21 @@ TEST(SpecBuffer, OversizedStoreDoomsWithoutCapturingALine) {
     sync::StripeLockTable t(64);
     std::vector<uint8_t> big(kBig, 0xC3);
     sync::SpecBuffer b;
-    b.begin(/*max_lines=*/8, t.clock_now());
+    b.begin(t.clock_now());
     sync::spec_store(b, t, heap, 40, big.data(), big.size());
     EXPECT_TRUE(b.aborted);
+    EXPECT_TRUE(b.dropped);
     EXPECT_EQ(b.nw, 0u);
     for (size_t i = 0; i < sizeof(heap); ++i) ASSERT_EQ(heap[i], 0u) << i;
 
     constexpr size_t kCapBytes = sync::SpecBuffer::kLineCap * 64;
-    b.begin(/*max_lines=*/sync::SpecBuffer::kLineCap, t.clock_now());
+    b.begin(t.clock_now());
     sync::spec_store(b, t, heap, 64, big.data(), kCapBytes);
-    EXPECT_FALSE(b.aborted);
+    EXPECT_FALSE(b.dropped);
     EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
-    b.begin(/*max_lines=*/sync::SpecBuffer::kLineCap, t.clock_now());
+    b.begin(t.clock_now());
     sync::spec_store(b, t, heap, 65, big.data(), kCapBytes);  // one line more
-    EXPECT_TRUE(b.aborted);
+    EXPECT_TRUE(b.dropped);
     EXPECT_EQ(b.nw, 0u);
 }
 
@@ -208,14 +211,14 @@ TEST(SpecBuffer, OversizedStoreDoomsWithoutCapturingALine) {
 // engine then ends the run), and begin() hands the sandbox out again.
 TEST(SpecBuffer, SandboxServesOneSmallAllocationPerSpeculation) {
     sync::SpecBuffer b;
-    b.begin(8, 0);
+    b.begin(0);
     EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes + 1), nullptr);
     void* a = b.sandbox_alloc(48);
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
     std::memset(a, 0xAB, 48);  // writable
     EXPECT_EQ(b.sandbox_alloc(1), nullptr);
-    b.begin(8, 0);
+    b.begin(0);
     EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes), a);
 }
 
@@ -474,7 +477,6 @@ TYPED_TEST(StripeFastPath, UserExceptionAbortsWithNoStateChange) {
 TYPED_TEST(StripeFastPath, FootprintOverflowFallsBackAndLandsEveryStore) {
     using E = TypeParam;
     auto* arr = this->setup_counters();
-    update_config().max_fastpath_lines = 4;
     const auto& cs = pmem::tl_commit_stats();
     const uint64_t fallbacks0 = cs.fastpath_fallbacks;
     E::updateTx([&] {
@@ -488,9 +490,9 @@ TYPED_TEST(StripeFastPath, FootprintOverflowFallsBackAndLandsEveryStore) {
     EXPECT_EQ(sum, 136u);  // 1 + 2 + ... + 16
 }
 
-// A doomed speculation whose write set is already full still buffers a
-// 100 KB store into the lines it captured (read-your-writes), then re-runs
-// on the slow path to the right value.
+// A doomed speculation whose write set is already full drops a 100 KB
+// store and ends at its next load; the closure re-runs on the slow path,
+// which reads the bytes it stored.
 TYPED_TEST(StripeFastPath, LargeStoreAfterFullWriteSetReadsItsOwnBytes) {
     using E = TypeParam;
     using PU = typename E::template p<uint64_t>;
@@ -519,13 +521,12 @@ TYPED_TEST(StripeFastPath, LargeStoreAfterFullWriteSetReadsItsOwnBytes) {
         E::store_range(big, pat.data(), kBig);
         seen.push_back(slot(5)->pload());
     });
-    // One doomed fast-path run, one slow-path re-run: both read the bytes
-    // they stored.
-    EXPECT_GT(cs.fastpath_aborts, aborts0);
-    EXPECT_GT(cs.fastpath_fallbacks, fallbacks0);
-    ASSERT_EQ(seen.size(), 2u);
+    // The doomed fast-path run ended at the load after the store, so the
+    // code after it ran once, in the slow-path re-run.
+    EXPECT_EQ(cs.fastpath_aborts - aborts0, 1u);
+    EXPECT_EQ(cs.fastpath_fallbacks - fallbacks0, 1u);
+    ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0], want);
-    EXPECT_EQ(seen[1], want);
     bool same = false;
     E::readTx([&] { same = std::memcmp(big, pat.data(), kBig) == 0; });
     EXPECT_TRUE(same);
@@ -582,6 +583,236 @@ TYPED_TEST(StripeFastPath, DisjointThreadsAllCommitSpeculatively) {
     EXPECT_GT(total_fp_commits.load(), kThreads * kRounds / 2);
     // Every group apply replicated its write sets: the twins agree.
     EXPECT_EQ(std::memcmp(E::main_base(), E::back_base(), E::used_bytes()), 0);
+}
+
+// ------------------------------------------------------ doomed-run liveness
+//
+// A doomed run that drops a store ends at its next load (DESIGN.md §4.11),
+// except while it unwinds or runs tmDelete's destructor call.  Each scenario
+// runs in a forked child on its own heap under a watchdog, so a run that
+// never returns, or a throw that reaches std::terminate, fails the test
+// instead of stalling or killing the suite.
+
+template <typename E>
+class StripeFastPathLiveness : public ::testing::Test {
+  protected:
+    static constexpr unsigned kWatchdogSeconds = 30;
+    using PU = typename E::template p<uint64_t>;
+
+    void SetUp() override { pmem::set_profile(pmem::Profile::NOP); }
+    // A child the watchdog killed leaves its heap file behind.
+    void TearDown() override { std::remove(path_.c_str()); }
+
+    /// Runs `scenario` in a forked child: exit 0 when it returns nullptr,
+    /// else its message on stderr and exit 1.
+    template <typename F>
+    [[noreturn]] static void child(const std::string& path, F& scenario) {
+        alarm(kWatchdogSeconds);
+        update_config().fastpath = true;
+        E::init(32u << 20, path);
+        const char* err = scenario();
+        E::destroy();
+        if (err != nullptr) std::fprintf(stderr, "%s\n", err);
+        std::_Exit(err == nullptr ? 0 : 1);
+    }
+    template <typename F>
+    void run_watched(F scenario) {
+        EXPECT_EXIT(child(path_, scenario), ::testing::ExitedWithCode(0), "");
+    }
+
+    std::string path_ = test::heap_path(std::string("fp_live_") + E::name());
+};
+
+TYPED_TEST_SUITE(StripeFastPathLiveness, FastPathPtms);
+
+namespace {
+/// Removes `keys` in one updateTx from a 4,000-key tree built in ascending
+/// order with the fast path off, then the same keys from a twin tree with
+/// the fast path off; nullptr when the fast-path removal fell back once and
+/// both trees hold the same keys.
+template <typename E>
+const char* bulk_tree_removal(const std::vector<uint64_t>& keys) {
+    using Tree = ds::RBTree<E, uint64_t>;
+    constexpr uint64_t kKeys = 4000;
+    update_config().fastpath = false;
+    auto build = [] {
+        Tree* t = nullptr;
+        E::updateTx([&] { t = E::template tmNew<Tree>(); });
+        for (uint64_t k = 0; k < kKeys; ++k) t->add(k);
+        return t;
+    };
+    Tree* on = build();
+    Tree* off = build();
+    auto remove_keys = [&](Tree* t) {
+        E::updateTx([&] {
+            for (uint64_t k : keys) t->remove(k);
+        });
+    };
+    auto keys_of = [](Tree* t) {
+        std::set<uint64_t> held;
+        t->for_each([&](uint64_t k) { held.insert(k); });
+        return held;
+    };
+    const auto& cs = pmem::tl_commit_stats();
+    const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+    update_config().fastpath = true;
+    remove_keys(on);
+    update_config().fastpath = false;
+    if (cs.fastpath_fallbacks - fallbacks0 != 1)
+        return "the removal did not fall back to the slow path once";
+    remove_keys(off);
+    if (keys_of(on) != keys_of(off))
+        return "the key set differs from a fast-path-off run";
+    if (!on->check_invariants()) return "the tree is malformed";
+    return nullptr;
+}
+}  // namespace
+
+// Each removal's free dooms the speculation and its rebalancing outgrows
+// the write set.  A doomed run that read on past its dropped stores
+// relinked a tree no execution produced, and these removals never returned.
+TYPED_TEST(StripeFastPathLiveness, ShuffledTreeRemovalsReturn) {
+    using E = TypeParam;
+    this->run_watched([]() -> const char* {
+        std::vector<uint64_t> keys(4000);
+        std::iota(keys.begin(), keys.end(), 0);
+        std::shuffle(keys.begin(), keys.end(), std::mt19937_64(4));
+        keys.resize(50);
+        return bulk_tree_removal<E>(keys);
+    });
+}
+
+TYPED_TEST(StripeFastPathLiveness, AscendingTreeRemovalsReturn) {
+    using E = TypeParam;
+    this->run_watched([]() -> const char* {
+        std::vector<uint64_t> keys(2000);
+        std::iota(keys.begin(), keys.end(), 0);
+        return bulk_tree_removal<E>(keys);
+    });
+}
+
+namespace {
+/// A persistent object whose destructor stores to more lines than a doomed
+/// run captures, then loads them back.
+template <typename E>
+struct WideDestructor {
+    static constexpr unsigned kLines = sync::SpecBuffer::kLineCap + 16;
+    using PU = typename E::template p<uint64_t>;
+    typename E::template p<PU*> slots;  ///< kLines line-strided counters
+    static inline uint64_t read_back = 0;  ///< sum the last call loaded
+    ~WideDestructor() {
+        PU* s = slots.pload();
+        for (unsigned i = 0; i < kLines; ++i) s[i * 8] = uint64_t(i) + 1;
+        uint64_t sum = 0;
+        for (unsigned i = 0; i < kLines; ++i) sum += s[i * 8].pload();
+        read_back = sum;
+    }
+};
+}  // namespace
+
+// The destructor's loads after its dropped stores read on (a throw there
+// would call std::terminate); the closure's first load after tmDelete ends
+// the run, and only the slow-path run's result commits.
+TYPED_TEST(StripeFastPathLiveness, DestructorLoadsAfterDroppedStoresReadOn) {
+    using E = TypeParam;
+    using PU = typename TestFixture::PU;
+    this->run_watched([]() -> const char* {
+        using W = WideDestructor<E>;
+        constexpr uint64_t kLast = W::kLines;
+        W* w = nullptr;
+        PU* slots = nullptr;
+        PU* mark = nullptr;
+        E::updateTx([&] {
+            slots = static_cast<PU*>(E::alloc_bytes(W::kLines * 64));
+            E::zero_range(slots, W::kLines * 64);
+            mark = static_cast<PU*>(E::alloc_bytes(sizeof(PU)));
+            *mark = 0u;
+            w = E::template tmNew<W>();
+            w->slots = slots;
+        });
+        const auto& cs = pmem::tl_commit_stats();
+        const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+        int runs = 0;
+        E::updateTx([&] {
+            ++runs;
+            E::tmDelete(w);
+            // Every execution reads the destructor's last store here; a
+            // doomed run that dropped it and read on would spin forever.
+            while (slots[(kLast - 1) * 8].pload() != kLast) {
+            }
+            *mark = uint64_t(runs);
+        });
+        if (runs != 2) return "the closure did not run exactly twice";
+        if (cs.fastpath_fallbacks - fallbacks0 != 1)
+            return "the speculation did not fall back once";
+        if (W::read_back != kLast * (kLast + 1) / 2)
+            return "the committed destructor call misread its own stores";
+        uint64_t got_mark = 0, sum = 0;
+        E::readTx([&] {
+            got_mark = mark->pload();
+            sum = 0;
+            for (uint64_t i = 0; i < kLast; ++i) sum += slots[i * 8].pload();
+        });
+        if (got_mark != 2) return "a result other than the slow path's";
+        if (sum != kLast * (kLast + 1) / 2)
+            return "the slot stores did not land";
+        return nullptr;
+    });
+}
+
+// A run that has dropped a store throws a user exception whose unwinding
+// runs a destructor that loads: the load reads on (a throw there would call
+// std::terminate), and the exception surfaces from the slow-path re-run.
+TYPED_TEST(StripeFastPathLiveness, UnwindingAfterADroppedStoreReadsOn) {
+    using E = TypeParam;
+    using PU = typename TestFixture::PU;
+    this->run_watched([]() -> const char* {
+        struct Boom {};
+        struct LoadOnExit {
+            PU* from;
+            uint64_t* into;
+            ~LoadOnExit() { *into = from->pload(); }
+        };
+        constexpr size_t kBig = 100000;  // over kLineCap lines
+        uint8_t* big = nullptr;
+        PU* mark = nullptr;
+        E::updateTx([&] {
+            big = static_cast<uint8_t*>(E::alloc_bytes(kBig));
+            E::zero_range(big, kBig);
+            mark = static_cast<PU*>(E::alloc_bytes(sizeof(PU)));
+            *mark = 7u;
+        });
+        const std::vector<uint8_t> pat(kBig, 0x5A);
+        const auto& cs = pmem::tl_commit_stats();
+        const uint64_t aborts0 = cs.fastpath_aborts;
+        const uint64_t fallbacks0 = cs.fastpath_fallbacks;
+        int runs = 0;
+        uint64_t seen = 0;
+        bool surfaced = false;
+        try {
+            E::updateTx([&] {
+                ++runs;
+                LoadOnExit guard{mark, &seen};
+                E::store_range(big, pat.data(), kBig);
+                throw Boom{};
+            });
+        } catch (const Boom&) {
+            surfaced = true;
+        }
+        if (!surfaced) return "the user exception did not surface";
+        if (runs != 2) return "the closure did not run exactly twice";
+        if (cs.fastpath_aborts - aborts0 != 1 ||
+            cs.fastpath_fallbacks - fallbacks0 != 1)
+            return "the speculation did not abort and fall back once";
+        if (seen != 7) return "the unwinding destructor misread";
+        bool untouched = false;
+        E::readTx([&] {
+            untouched = std::all_of(big, big + kBig,
+                                    [](uint8_t b) { return b == 0; });
+        });
+        if (!untouched) return "the aborted transaction left bytes behind";
+        return nullptr;
+    });
 }
 
 namespace {
@@ -1041,24 +1272,18 @@ TEST(EnvTuning, MalformedFastPathKnobsLeaveDefaults) {
     UpdateConfigGuard guard;
     const UpdateConfig before = update_config();
     ::setenv("ROMULUS_UPDATE_FASTPATH", "banana", 1);
-    ::setenv("ROMULUS_UPDATE_MAX_LINES", "8x", 1);
     const std::string applied = apply_env_tuning();
     ::unsetenv("ROMULUS_UPDATE_FASTPATH");
-    ::unsetenv("ROMULUS_UPDATE_MAX_LINES");
     EXPECT_EQ(update_config().fastpath, before.fastpath);
-    EXPECT_EQ(update_config().max_fastpath_lines, before.max_fastpath_lines);
     EXPECT_EQ(applied.find("ROMULUS_UPDATE_"), std::string::npos) << applied;
 }
 
 TEST(EnvTuning, WellFormedFastPathKnobsApply) {
     UpdateConfigGuard guard;
     ::setenv("ROMULUS_UPDATE_FASTPATH", "0", 1);
-    ::setenv("ROMULUS_UPDATE_MAX_LINES", "16", 1);
     const std::string applied = apply_env_tuning();
     ::unsetenv("ROMULUS_UPDATE_FASTPATH");
-    ::unsetenv("ROMULUS_UPDATE_MAX_LINES");
     EXPECT_FALSE(update_config().fastpath);
-    EXPECT_EQ(update_config().max_fastpath_lines, 16u);
     EXPECT_NE(applied.find("ROMULUS_UPDATE_FASTPATH=0"), std::string::npos)
         << applied;
 }
