@@ -1,12 +1,22 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): the raw
 // cost of pwb under each flush backend, fence costs, persist<T> store/load
-// interposition overhead, allocator throughput and the synchronization
-// constructs.  These calibrate the figure benches: e.g. §6.2's observation
-// that with CLFLUSH "performance is mainly dominated by the number of pwb
-// instructions per transaction".
+// interposition overhead (in a transaction and inside a fast-path
+// speculation, DESIGN.md §4.11), allocator throughput, the synchronization
+// constructs, and one remove+add pair on each 1,000-entry structure.  These
+// calibrate the figure benches: e.g. §6.2's observation that with CLFLUSH
+// "performance is mainly dominated by the number of pwb instructions per
+// transaction".
+//
+// Every case must run to completion: a benchmark loop runs inside a
+// transaction only where that transaction never re-runs its body
+// (begin_transaction/end_transaction), or where a re-run is reported with
+// SkipWithError instead of re-entering the loop.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "ds/hash_map.hpp"
+#include "ds/linked_list_set.hpp"
+#include "ds/rb_tree.hpp"
 #include "sync/crwwp.hpp"
 #include "sync/left_right.hpp"
 
@@ -15,20 +25,26 @@ using namespace romulus::bench;
 
 namespace {
 
-// One shared heap for the whole binary (benchmark re-runs each case).
+// One shared heap per engine for the whole binary (benchmark re-runs each
+// case), with a line-aligned 1 MB buffer allocated in it.
+template <typename E>
 struct GlobalHeap {
-    GlobalHeap() {
-        std::remove(bench_heap_path("prims").c_str());
-        RomulusLog::init(64u << 20, bench_heap_path("prims"));
-        RomulusLog::updateTx([&] {
-            buf = static_cast<uint8_t*>(RomulusLog::alloc_bytes(1 << 20));
+    GlobalHeap() : path(bench_heap_path(std::string("prims_") + E::name())) {
+        std::remove(path.c_str());
+        E::init(64u << 20, path);
+        E::updateTx([&] {
+            const auto a = reinterpret_cast<uintptr_t>(
+                E::alloc_bytes((1 << 20) + 64));
+            buf = reinterpret_cast<uint8_t*>((a + 63) & ~uintptr_t{63});
         });
     }
-    ~GlobalHeap() { RomulusLog::destroy(); }
+    ~GlobalHeap() { E::destroy(); }
+    std::string path;
     uint8_t* buf = nullptr;
 };
-GlobalHeap& heap() {
-    static GlobalHeap h;
+template <typename E = RomulusLog>
+GlobalHeap<E>& heap() {
+    static GlobalHeap<E> h;
     return h;
 }
 
@@ -50,12 +66,12 @@ void BM_persist_store(benchmark::State& state) {
     using PU = RomulusLog::p<uint64_t>;
     PU* arr = reinterpret_cast<PU*>(heap().buf);
     uint64_t i = 0;
-    RomulusLog::updateTx([&] {
-        for (auto _ : state) {
-            arr[i % 512] = i;
-            ++i;
-        }
-    });
+    RomulusLog::begin_transaction();
+    for (auto _ : state) {
+        arr[i % 512] = i;
+        ++i;
+    }
+    RomulusLog::end_transaction();
 }
 
 void BM_persist_load(benchmark::State& state) {
@@ -70,15 +86,90 @@ void BM_persist_load(benchmark::State& state) {
     benchmark::DoNotOptimize(sink);
 }
 
+/// Run `loop` inside one fast-path updateTx on RomulusLog.  A speculation
+/// that does not commit re-runs the closure on the slow path, which must
+/// not re-enter the benchmark loop: the case reports an error instead.
+template <typename Loop>
+void in_speculation(benchmark::State& state, Loop&& loop) {
+    const uint64_t commits0 = pmem::tl_commit_stats().fastpath_commits;
+    int runs = 0;
+    RomulusLog::updateTx([&] {
+        if (runs++ == 0) loop();
+    });
+    if (pmem::tl_commit_stats().fastpath_commits != commits0 + 1)
+        state.SkipWithError("the speculation did not commit");
+}
+
+/// BM_persist_store's loop inside a speculation, over 8 lines: the write
+/// set's cap (SpecBuffer::kWriteCap), so the speculation commits.
+void BM_spec_store(benchmark::State& state) {
+    pmem::set_profile(pmem::Profile::NOP);
+    using PU = RomulusLog::p<uint64_t>;
+    PU* arr = reinterpret_cast<PU*>(heap().buf);
+    constexpr uint64_t kWords = 8 * 64 / sizeof(uint64_t);
+    uint64_t i = 0;
+    in_speculation(state, [&] {
+        for (auto _ : state) {
+            arr[i % kWords] = i;
+            ++i;
+        }
+    });
+}
+
+/// BM_persist_load's loop inside a speculation: its 64 lines take at most
+/// the read set's 64 stripe observations (SpecBuffer::kReadCap).
+void BM_spec_load(benchmark::State& state) {
+    pmem::set_profile(pmem::Profile::NOP);
+    using PU = RomulusLog::p<uint64_t>;
+    PU* arr = reinterpret_cast<PU*>(heap().buf);
+    uint64_t i = 0, sink = 0;
+    in_speculation(state, [&] {
+        for (auto _ : state) {
+            sink += arr[i % 512].pload();
+            ++i;
+        }
+    });
+    benchmark::DoNotOptimize(sink);
+}
+
+/// The allocator alone: each iteration is one single-writer transaction,
+/// which never runs a speculation.
 void BM_alloc_free(benchmark::State& state) {
     pmem::set_profile(pmem::Profile::NOP);
     const size_t sz = state.range(0);
     for (auto _ : state) {
-        RomulusLog::updateTx([&] {
-            void* ptr = RomulusLog::alloc_bytes(sz);
-            RomulusLog::free_bytes(ptr);
-        });
+        RomulusLog::begin_transaction();
+        void* ptr = RomulusLog::alloc_bytes(sz);
+        RomulusLog::free_bytes(ptr);
+        RomulusLog::end_transaction();
     }
+}
+
+/// BM_remove_add's engine and structure, as a value BENCHMARK_CAPTURE can
+/// pass.
+template <typename E, template <typename, typename> class DS>
+struct On {};
+
+/// One remove+add pair (Figure 4's update operation: two consecutive
+/// update transactions) on a 1,000-entry set, one thread, CLFLUSH.
+template <typename E, template <typename, typename> class DS>
+void BM_remove_add(benchmark::State& state, On<E, DS>) {
+    constexpr uint64_t kKeys = 1000;
+    pmem::set_profile(pmem::Profile::NOP);
+    heap<E>();  // maps E's heap on first use
+    using Set = DS<E, uint64_t>;
+    Set* set = nullptr;
+    E::updateTx([&] { set = E::template tmNew<Set>(); });
+    prepopulate<E>(kKeys, [&](uint64_t i) { set->add(i * 2 + 1); });
+    std::mt19937_64 rng(1);
+    pmem::set_profile(pmem::Profile::CLFLUSH);
+    for (auto _ : state) {
+        const uint64_t k = (rng() % kKeys) * 2 + 1;
+        set->remove(k);
+        set->add(k);
+    }
+    pmem::set_profile(pmem::Profile::NOP);
+    E::updateTx([&] { E::tmDelete(set); });
 }
 
 void BM_crwwp_read_lock(benchmark::State& state) {
@@ -176,7 +267,21 @@ BENCHMARK_CAPTURE(BM_pwb, stt, pmem::Profile::STT);
 BENCHMARK_CAPTURE(BM_pwb, pcm, pmem::Profile::PCM);
 BENCHMARK(BM_persist_store);
 BENCHMARK(BM_persist_load);
+BENCHMARK(BM_spec_store);
+BENCHMARK(BM_spec_load);
 BENCHMARK(BM_alloc_free)->Arg(48)->Arg(256)->Arg(4096);
+BENCHMARK_CAPTURE(BM_remove_add, RomulusNL/list,
+                  On<RomulusNL, ds::LinkedListSet>{});
+BENCHMARK_CAPTURE(BM_remove_add, RomulusNL/hashmap,
+                  On<RomulusNL, ds::HashMap>{});
+BENCHMARK_CAPTURE(BM_remove_add, RomulusNL/rbtree,
+                  On<RomulusNL, ds::RBTree>{});
+BENCHMARK_CAPTURE(BM_remove_add, RomulusLog/list,
+                  On<RomulusLog, ds::LinkedListSet>{});
+BENCHMARK_CAPTURE(BM_remove_add, RomulusLog/hashmap,
+                  On<RomulusLog, ds::HashMap>{});
+BENCHMARK_CAPTURE(BM_remove_add, RomulusLog/rbtree,
+                  On<RomulusLog, ds::RBTree>{});
 BENCHMARK(BM_crwwp_read_lock);
 BENCHMARK(BM_leftright_arrive_depart);
 BENCHMARK(BM_empty_update_tx);

@@ -34,6 +34,11 @@
 #             Repro bundles from any failure land in
 #             build/check/fuzz/romfuzz-bundles*/ (CI uploads them as
 #             artifacts).
+#   counts    deterministic count gate: the count.* lines of
+#             `bench/romdb/run.py --counts` and bench_table1_fences' table
+#             must match bench/trajectory/romdb_counts.txt and
+#             bench/trajectory/table1_fences.txt byte for byte.  A change
+#             that moves a count updates the file.
 #
 # Each leg uses its own build directory (build/check/<leg>) so the matrix
 # never dirties the developer's ./build tree — and everything it writes
@@ -45,16 +50,17 @@ cd "$(dirname "$0")/.."
 NPROC=$(nproc 2>/dev/null || echo 4)
 CHECK_ROOT="build/check"
 LEGS=("$@")
-[ ${#LEGS[@]} -eq 0 ] && LEGS=(default werror asan tsan race persistgraph fuzz)
+[ ${#LEGS[@]} -eq 0 ] && LEGS=(default werror asan tsan race persistgraph fuzz counts)
 
-configure_build() { # <dir> <cmake-flags...>
+configure_build() { # <dir> <cmake-flags...>; $BUILD_TARGET: build only it
     local dir=$1
     shift
     mkdir -p "$dir"
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" \
         > "$dir/configure.log" 2>&1 ||
         { cat "$dir/configure.log"; return 1; }
-    cmake --build "$dir" -j "$NPROC" > "$dir/build.log" 2>&1 ||
+    cmake --build "$dir" -j "$NPROC" ${BUILD_TARGET:+--target "$BUILD_TARGET"} \
+        > "$dir/build.log" 2>&1 ||
         { tail -50 "$dir/build.log"; return 1; }
 }
 
@@ -176,8 +182,19 @@ run_leg() {
                 --out "$bundles-oversized"
         done
         ;;
+    counts)
+        # Counting instead of timing (the paper's Table 1 method): these
+        # numbers do not depend on the host, so they are gated exactly.
+        BUILD_TARGET=bench_table1_fences configure_build "$dir"
+        CARGO_TARGET_DIR="$dir" python3 bench/romdb/run.py --counts \
+            > "$dir/romdb_run.txt"
+        grep '\.count\.' "$dir/romdb_run.txt" > "$dir/romdb_counts.txt"
+        diff -u bench/trajectory/romdb_counts.txt "$dir/romdb_counts.txt"
+        "$dir/bench/bench_table1_fences" > "$dir/table1_fences.txt"
+        diff -u bench/trajectory/table1_fences.txt "$dir/table1_fences.txt"
+        ;;
     *)
-        echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz)" >&2
+        echo "unknown leg: $leg (default|werror|asan|tsan|race|persistgraph|fuzz|counts)" >&2
         return 2
         ;;
     esac

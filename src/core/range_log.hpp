@@ -20,12 +20,12 @@
 // leaves nothing in the cache to write back.
 //
 // The stripe-locked speculative fast path (DESIGN.md §4.11) never consults
-// this log: its sync::SpecBuffer write set already holds the touched lines
-// deduplicated and sorted, so the fast-path apply coalesces adjacent lines
-// into maximal flush/replication runs itself, mirroring merged_runs() for a
-// footprint that is bounded by sync::SpecBuffer::kWriteCap.  Only the
-// C-RW-WP slow path — where the write set is unbounded — pays for the
-// table.
+// this log: its SpecBuffer write set (core/speculation.hpp) already holds
+// the touched lines deduplicated and sorted, so the fast-path apply
+// coalesces adjacent lines into maximal flush/replication runs itself,
+// mirroring merged_runs() for a footprint that is bounded by
+// SpecBuffer::kWriteCap.  Only the C-RW-WP slow path — where the write set
+// is unbounded — pays for the table.
 #pragma once
 
 #include <algorithm>

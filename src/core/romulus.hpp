@@ -48,6 +48,7 @@
 #include "core/engine_globals.hpp"
 #include "core/persist.hpp"
 #include "core/range_log.hpp"
+#include "core/speculation.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/region.hpp"
 #include "sync/crwwp.hpp"
@@ -55,7 +56,6 @@
 #include "sync/left_right.hpp"
 #include "sync/seqlock.hpp"
 #include "sync/spinlock.hpp"
-#include "sync/stripe_lock.hpp"
 #include "sync/thread_registry.hpp"
 
 namespace romulus {
@@ -173,14 +173,7 @@ class RomulusEngine {
 
     template <typename T>
     static void pstore(T* addr, const T& val) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                // Speculative fast path (§4.11): main is untouched until
-                // commit — the store lands in the thread-local write set.
-                fp_store(addr, &val, sizeof(T));
-                return;
-            }
-        }
+        if (speculating()) return Spec::buffer().store(addr, &val, sizeof(T));
         *addr = val;
         ROMULUS_RACE_WRITE(addr, sizeof(T));
         Shard* sh = owning_shard_main(addr);
@@ -207,17 +200,7 @@ class RomulusEngine {
 
     template <typename T>
     static T pload(const T* addr) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                // Speculative fast path (§4.11): consult the write set, and
-                // validate every uncaptured load against its stripe so a
-                // concurrent fast-path committer's mid-apply state is never
-                // observed.
-                T v;
-                fp_load(&v, addr, sizeof(T));
-                return v;
-            }
-        }
+        if (speculating()) return Spec::buffer().load(addr);
         T v = *addr;
         if constexpr (!Traits::kUseLR) {
             if (tl.opt_active) {
@@ -256,12 +239,7 @@ class RomulusEngine {
     /// Inside an update transaction, a payload whose whole lines reach
     /// CommitConfig::nt_threshold streams them into main (stream_range).
     static void store_range(void* dst, const void* src, size_t n) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                fp_store(dst, src, n);
-                return;
-            }
-        }
+        if (speculating()) return Spec::buffer().store(dst, src, n);
         if (tl.tx_depth > 0 && stream_range(dst, src, n)) return;
         std::memcpy(dst, src, n);
         ROMULUS_RACE_WRITE(dst, n);
@@ -269,19 +247,7 @@ class RomulusEngine {
     }
 
     static void zero_range(void* dst, size_t n) {
-        if constexpr (!Traits::kUseLR) {
-            if (tl.fp_active) {
-                static constexpr uint8_t kZeros[64] = {};
-                uint8_t* p = static_cast<uint8_t*>(dst);
-                while (n > 0) {
-                    const size_t take = n < sizeof(kZeros) ? n : sizeof(kZeros);
-                    fp_store(p, kZeros, take);
-                    p += take;
-                    n -= take;
-                }
-                return;
-            }
-        }
+        if (speculating()) return Spec::buffer().zero(dst, n);
         std::memset(dst, 0, n);
         ROMULUS_RACE_WRITE(dst, n);
         range_written(dst, n);
@@ -408,19 +374,11 @@ class RomulusEngine {
             return;
         }
         assert(shard_id < s.nshards);
+        // Try the speculation (§4.11), then the combiner.  Like an
+        // optimistic read, the closure may run more than once (docs/API.md).
+        if constexpr (!Traits::kUseLR)
+            if (update_config().fastpath && Spec::run(shard_id, f)) return;
         Shard& sh = shard(shard_id);
-        if constexpr (!Traits::kUseLR) {
-            // Stripe-locked speculative fast path (§4.11): small disjoint
-            // updates commit durably without the shard writer lock.  Any
-            // conflict, footprint overflow or allocation falls through to
-            // the universal flat-combining slow path below — eligibility is
-            // transparent to the caller, but like the optimistic read path
-            // the closure may run more than once (docs/API.md).
-            if (update_config().fastpath) {
-                if (try_fastpath_update(sh, shard_id, f)) return;
-                pmem::tl_commit_stats().fastpath_fallbacks++;
-            }
-        }
         const int t = sync::tid();
         sync::FlatCombiningArray<>::Op op{std::forward<F>(f)};
         sh.fc.announce(t, &op);
@@ -516,23 +474,19 @@ class RomulusEngine {
             struct Guard {
                 Shard& sh;
                 int t;
-                bool gated;
                 ~Guard() {
                     ROMULUS_RACE_TX_END();
                     tl.read_depth = 0;
-                    if (gated) sh.fp_gate.read_unlock(t);
+                    sh.spec.gate.read_unlock(t);
                     sh.rwlock.read_unlock(t);
                 }
-            } guard{sh, t, false};
+            } guard{sh, t};
+            // Fast-path committers apply under a *shared* rwlock hold
+            // (§4.11), so the reader lock alone does not guarantee a
+            // quiescent main: the gate excludes the applier phase too.
+            // Lock order everywhere: rwlock shared, then the gate.
             sh.rwlock.read_lock(t);
-            if (update_config().fastpath) {
-                // Fast-path committers apply under a *shared* rwlock hold
-                // (§4.11), so the reader lock alone no longer guarantees a
-                // quiescent main: additionally exclude the applier phase.
-                // Lock order everywhere: rwlock shared, then fp_gate.
-                sh.fp_gate.read_lock(t);
-                guard.gated = true;
-            }
+            sh.spec.gate.read_lock(t);
             ROMULUS_RACE_TX_BEGIN("read-tx");
             f();
         }
@@ -563,32 +517,13 @@ class RomulusEngine {
     template <typename T>
     static void tmDelete(T* obj) {
         if (obj == nullptr) return;
-        // A destructor is implicitly noexcept: inside one, a speculation's
-        // loads read on instead of ending the run (SpecBuffer::dtor_depth).
-        const bool spec = tl.fp_active;
-        if (spec) ++tl_fp().dtor_depth;
-        obj->~T();
-        if (spec) --tl_fp().dtor_depth;
+        if (speculating()) Spec::buffer().destroy(obj); else obj->~T();
         free_bytes(obj);
     }
 
     static void* alloc_bytes(size_t n) {
         assert(tl.tx_depth > 0 && "allocation outside a transaction");
-        if constexpr (!Traits::kUseLR) {
-            // Allocator metadata mutations are not stripe-guarded: an
-            // allocating transaction always re-runs on the slow path (§4.11).
-            // A small first allocation gets the speculation's sandbox, so a
-            // one-insert closure finishes its short doomed tail: that costs
-            // less than unwinding it.  Any other allocation ends the run
-            // here — the rest is wasted work, and allocation may throw
-            // (std::bad_alloc), so callers already cope with an exception
-            // from this point.
-            if (tl.fp_active) {
-                fp_doom();
-                if (void* p = tl_fp().sandbox_alloc(n)) return p;
-                throw sync::SpecAbort{};
-            }
-        }
+        if (speculating()) return Spec::buffer().alloc(n);
         void* ptr = current_shard().alloc.alloc(n);
         if (ptr == nullptr) throw std::bad_alloc();
         return ptr;
@@ -596,15 +531,9 @@ class RomulusEngine {
 
     static void free_bytes(void* ptr) {
         assert(tl.tx_depth > 0 && "free outside a transaction");
-        if constexpr (!Traits::kUseLR) {
-            // tmDelete is routinely reached from noexcept destructors, so
-            // the speculation dooms without throwing and the free is simply
-            // dropped: the slow-path re-run performs the real one.
-            if (tl.fp_active) {
-                fp_doom();
-                return;
-            }
-        }
+        // tmDelete runs inside noexcept destructors: a speculation's free
+        // dooms it without throwing, and the slow-path re-run frees.
+        if (speculating()) return Spec::buffer().doom();
         if (ptr == nullptr) return;
         // Cross-shard frees are an application contract violation: objects
         // live and die in the shard whose transaction allocated them.
@@ -691,9 +620,9 @@ class RomulusEngine {
     }
     /// Test hook: the shard's fast-path announce slots (§4.11), exposed so
     /// fixtures can wait until given committers have announced.
-    static sync::FlatCombiningArray<sync::SpecBuffer>& fastpath_slots_for_tests(
+    static sync::FlatCombiningArray<SpecBuffer>& fastpath_slots_for_tests(
         unsigned shard_id = 0) {
-        return shard(shard_id).fp_slots;
+        return shard(shard_id).spec.slots;
     }
 
     /// Flat-combining aggregation stats (§5.3: several announced updates
@@ -743,10 +672,8 @@ class RomulusEngine {
             new (&sh.lr_writer_lock) sync::SpinLock();
             new (&sh.lr) sync::LeftRight();
             new (&sh.seq) sync::SeqLock();  // a crash mid-MUT left it odd
-            new (&sh.fp_gate) sync::CRWWPLock();
-            sh.stripes.reset_for_tests();  // held stripes died with the crash
+            new (&sh.spec) SpecShard();  // held stripes died with the crash
             new (&sh.fc) sync::FlatCombiningArray<>();
-            new (&sh.fp_slots) sync::FlatCombiningArray<sync::SpecBuffer>();
         }
     }
 
@@ -776,6 +703,9 @@ class RomulusEngine {
     }
 
   private:
+    using Spec = FastPath<RomulusEngine>;
+    friend Spec;
+
     static constexpr size_t kHeaderReserved = 4096;
     static constexpr size_t kShardHeaderOffset = 64;
     static constexpr uint64_t kMagicBase = 0x524F4D554C555302ull;  // "ROMULUS"+layout v2
@@ -829,12 +759,8 @@ class RomulusEngine {
         sync::SpinLock lr_writer_lock;    // LR variant (readers use lr)
         sync::LeftRight lr;
         sync::SeqLock seq;                // optimistic-read window (§4.9)
-        sync::StripeLockTable stripes;    // fast-path version locks (§4.11)
-        sync::CRWWPLock fp_gate;          // fast-path appliers (writers) vs
-                                          // pessimistic readers (§4.11)
+        SpecShard spec;                   // stripe fast path (§4.11)
         sync::FlatCombiningArray<> fc;
-        // Locked, validated fast-path write sets awaiting the group apply.
-        sync::FlatCombiningArray<sync::SpecBuffer> fp_slots;
         std::atomic<uint64_t> combines{0};      // combiner invocations
         std::atomic<uint64_t> combined_ops{0};  // operations they executed
         bool used_pwb_pending = false;  // used_size grew; pwb owed at commit
@@ -869,6 +795,13 @@ class RomulusEngine {
     }
 
     static Shard& current_shard() { return shard(tl.shard); }
+
+    /// Inside a fast-path speculation (§4.11): interposed accesses go to
+    /// the thread's SpecBuffer.
+    static bool speculating() {
+        if constexpr (Traits::kUseLR) return false;
+        else return tl.fp_active;
+    }
 
     /// Default shard for the shard-less API: inside a transaction, the
     /// transaction's shard (so nested calls from data structures stay in
@@ -947,7 +880,8 @@ class RomulusEngine {
     // --- Algorithm 1's state transitions -----------------------------------
     //
     // begin/end/abort_transaction, recover() and the fast path's group apply
-    // (fp_apply_batch) move a shard's state word only through these steps.
+    // (FastPath::apply_batch) move a shard's state word only through these
+    // steps.
 
     /// Store the shard's state word and issue its write-back.
     static void persist_state(Shard& sh, TxState st) {
@@ -1162,257 +1096,6 @@ class RomulusEngine {
         pmem::on_store(&s.header->magic, 8);
         pmem::pwb(&s.header->magic);
         pmem::psync();
-    }
-
-    // --- speculative update fast path (§4.11) ------------------------------
-    //
-    // Protocol (C-RW-WP variants only; RomulusLR keeps its Left-Right path):
-    //   1. try_read_lock the shard's C-RW-WP lock: a *shared* hold for the
-    //      whole speculation excludes slow-path combiners (who mutate main
-    //      unstriped under the exclusive hold) without ever blocking.
-    //   2. Run the closure with every pstore buffered into a thread-local
-    //      write set of whole cache lines and every pload validated against
-    //      the line's stripe word (locked, or version > the start-time clock
-    //      snapshot rv => abort).  Footprint overflow, frees and
-    //      cross-shard access doom the speculation — it keeps executing in
-    //      SpecBuffer's sandboxed pass-through mode (these dooms never
-    //      throw: closures run noexcept destructors) and the closure is
-    //      re-run on the slow path afterwards.  An allocation dooms it too:
-    //      the first one, if small, is served from SpecBuffer's sandbox, and
-    //      any other ends the run at once with sync::SpecAbort.  A doomed
-    //      run that drops a store (past the hard cap, a store spanning more
-    //      lines than it, a cross-shard or header store) ends with
-    //      SpecAbort at its next load, unless it is unwinding or inside
-    //      tmDelete's destructor call.
-    //   3. Commit: try-acquire the write set's stripes in canonical
-    //      (sorted) order, validate captured-line versions and the read
-    //      set, advance the shard's fast-path clock to wv, and announce the
-    //      write set in the shard's fp_slots.
-    //   4. Group apply: whichever announcer wins fp_gate makes every
-    //      announced write set durable in one twin-state transaction —
-    //      MUT -> pfence -> seqlock odd -> all lines into main -> pfence ->
-    //      CPY -> psync (durability point) -> seqlock even -> all lines
-    //      into back -> pfence -> IDL — and marks their announcers done.
-    //      Each announcer then releases its own stripes at its own wv.
-    //
-    // A torn group apply is all-or-nothing through the unchanged twin-state
-    // recovery: a crash in MUT rolls every write set of the batch back from
-    // back, a crash in CPY re-replicates main.  Stripe words, the clock, the
-    // announce slots and the write sets are volatile and die with the crash.
-
-    using FpTx = sync::SpecBuffer;
-    static FpTx& tl_fp() {
-        static thread_local FpTx fp;
-        return fp;
-    }
-
-    static void fp_doom() { sync::spec_doom(tl_fp()); }
-
-    /// Buffered store: every touched line is captured, then overwritten in
-    /// the buffer only (sync::spec_store).  Anything outside the current
-    /// shard's main half is either a volatile test object (plain store) or a
-    /// cross-shard / header write the stripes cannot guard — that store is
-    /// dropped (the slow-path re-run performs the real one).
-    static void fp_store(void* addr, const void* src, size_t n) {
-        Shard& sh = current_shard();
-        if (!in_shard_main(sh, addr)) {
-            if (s.initialized && s.region.contains(addr)) {
-                sync::spec_drop(tl_fp());
-                return;
-            }
-            std::memcpy(addr, src, n);
-            ROMULUS_RACE_WRITE(addr, n);
-            return;
-        }
-        sync::spec_store(tl_fp(), sh.stripes, sh.main, main_offset(sh, addr),
-                         src, n);
-    }
-
-    /// Validated load: buffered lines read from the write set; everything
-    /// else is read from main and checked against its stripe word
-    /// (sync::spec_load).  A run that has dropped a store ends here.
-    static void fp_load(void* dst, const void* src, size_t n) {
-        FpTx& fp = tl_fp();
-        if (fp.load_ends_run()) throw sync::SpecAbort{};
-        Shard& sh = current_shard();
-        if (!in_shard_main(sh, src)) {
-            if (s.initialized && s.region.contains(src) &&
-                owning_shard_main(src) != nullptr) {
-                // Cross-shard read: not stripe-guarded.  Doom and read raw
-                // (word-atomic — that shard's applier may be mid-commit).
-                sync::spec_doom(fp);
-                sync::word_atomic_copy(dst, src, n);
-                return;
-            }
-            std::memcpy(dst, src, n);
-            return;
-        }
-        sync::spec_load(fp, sh.stripes, sh.main, main_offset(sh, src), dst,
-                        n);
-    }
-
-    template <typename F>
-    static bool try_fastpath_update(Shard& sh, unsigned shard_id, F& f) {
-        const int t = sync::tid();
-        if (!sh.rwlock.try_read_lock(t)) return false;  // slow writer active
-        FpTx& fp = tl_fp();
-        fp.begin(sh.stripes.clock_now());
-        tl.shard = shard_id;
-        tl.tx_depth = 1;  // nested updateTx/readTx/put_object contracts hold
-        tl.fp_active = true;
-        ROMULUS_RACE_TX_BEGIN("update-tx(fp)");
-        bool ok;
-        try {
-            f();
-            ok = !fp.aborted;
-        } catch (...) {
-            // A user exception, or the SpecAbort that ends a doomed run at an
-            // allocation or at a load after a dropped store.  Nothing was
-            // applied, so the transaction is a no-op either way; but only
-            // surface the exception off an undoomed, still-valid read set —
-            // a doomed run's exception is SpecAbort or may be an artifact of
-            // its inconsistent view, so retry on the slow path instead of
-            // raising a phantom.
-            const bool consistent =
-                !fp.aborted &&
-                sync::spec_reads_valid(fp, sh.stripes, nullptr, 0);
-            tl.fp_active = false;
-            tl.tx_depth = 0;
-            ROMULUS_RACE_TX_END();
-            sh.rwlock.read_unlock(t);
-            pmem::tl_commit_stats().fastpath_aborts++;
-            if (consistent) {
-                // The surfaced exception IS an aborted transaction from the
-                // caller's (and the persistency checker's) point of view:
-                // nothing was applied, but the lifecycle must stay visible.
-                pmem::notify_tx_begin();
-                pmem::notify_tx_abort();
-                throw;
-            }
-            return false;
-        }
-        tl.fp_active = false;  // commit uses explicit primitives, not pstore
-        if (ok) ok = fastpath_commit(sh);
-        tl.tx_depth = 0;
-        ROMULUS_RACE_TX_END();
-        sh.rwlock.read_unlock(t);
-        auto& cs = pmem::tl_commit_stats();
-        if (ok) {
-            cs.fastpath_commits++;
-        } else {
-            cs.fastpath_aborts++;
-        }
-        return ok;
-    }
-
-    static bool fastpath_commit(Shard& sh) {
-        FpTx& fp = tl_fp();
-        if (fp.nw == 0) {
-            // Read-only (or no-op) update closure: every load was validated
-            // at version <= rv, so the reads already form a consistent
-            // snapshot of the start-time state and there is nothing to
-            // persist.
-            return true;
-        }
-        unsigned order[FpTx::kLineCap];
-        sync::StripeLockTable::Word pre[FpTx::kLineCap];
-        unsigned ns = 0;
-        if (!sync::spec_lock_write_set(fp, sh.stripes, order, pre, &ns))
-            return false;
-        const uint64_t wv = sh.stripes.clock_advance();
-        // Announce the write set, then until an applier has made it durable
-        // try to become that applier: a lone committer is a batch of one.
-        const int t = sync::tid();
-        sh.fp_slots.announce(t, &fp);
-        unsigned spins = 0;
-        while (!sh.fp_slots.is_done(t)) {
-            if (sh.fp_gate.try_write_lock()) {
-                fp_apply_batch(sh);
-                sh.fp_gate.write_unlock();
-            } else {
-                sync::spin_wait(spins);
-            }
-        }
-        for (unsigned j = 0; j < ns; ++j) sh.stripes.release(order[j], wv);
-        return true;
-    }
-
-    /// Group apply: make every write set announced on the shard durable in
-    /// one twin-state transaction, then release their announcers.  The
-    /// caller holds fp_gate.write, which serializes appliers and excludes
-    /// pessimistic readers, so the shard's seqlock and twin-state machine
-    /// keep their single-writer contract (slow-path writers are excluded by
-    /// every announcer's shared rwlock hold) — which is exactly why recovery
-    /// needs no new cases.  The write sets are line-disjoint (each announcer
-    /// holds its lines' stripes) and sorted by offset (spec_lock_write_set).
-    static void fp_apply_batch(Shard& sh) {
-        int slots[sync::kMaxThreads];
-        FpTx* sets[sync::kMaxThreads];
-        int n = 0;
-        sh.fp_slots.for_each_announced([&](int slot, FpTx* fp) {
-            slots[n] = slot;
-            sets[n++] = fp;
-        });
-        if (n == 0) return;  // ours went out with the previous applier's batch
-        // Under a profile whose pwb evicts the line, every line goes to main
-        // and then to back straight from its buffered image with NT stores
-        // (no RFO, no flush, no re-read of main), drained before the CPY and
-        // IDL state stores; otherwise a cached store + pwb per line.
-        const bool nt = pmem::streams_line_images();
-        enter_mut(sh);
-        for (int b = 0; b < n; ++b) {
-            for (unsigned i = 0; i < sets[b]->nw; ++i) {
-                const auto& wl = sets[b]->wlines[i];
-                uint8_t* dst = sh.main + wl.line_off;
-                // The write set is the transaction's log: each line is
-                // written back and replicated below (checker require_log).
-                pmem::notify_range_logged(dst, pmem::kCacheLineSize);
-                if (nt) {
-                    pmem::nt_store_line(dst, wl.data);
-                } else {
-                    std::memcpy(dst, wl.data, pmem::kCacheLineSize);
-                    pmem::on_store(dst, pmem::kCacheLineSize);
-                    pmem::pwb(dst);
-                }
-                ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
-            }
-        }
-        // A cached apply wrote each line back as it went; the body
-        // write-back left for the CPY step is the drain of the NT images.
-        commit_cpy(sh, [&] {
-            if (!nt) return;
-            pmem::nt_drain();
-            // An NT store leaves no cached copy, so the next get of a hot
-            // record, or the capture of its next update, would miss to
-            // memory: fetch the new lines back without waiting for them.
-            for (int b = 0; b < n; ++b)
-                for (unsigned i = 0; i < sets[b]->nw; ++i)
-                    __builtin_prefetch(sh.main + sets[b]->wlines[i].line_off);
-        });
-        for (int b = 0; b < n; ++b) {
-            const FpTx& fp = *sets[b];
-            for (unsigned i = 0; i < fp.nw;) {
-                const uint64_t off = fp.wlines[i].line_off;
-                unsigned j = i + 1;
-                if (nt) {
-                    pmem::nt_store_line(sh.back + off, fp.wlines[i].data);
-                } else {
-                    // Adjacent lines replicate as one run, RangeLog-style.
-                    while (j < fp.nw && fp.wlines[j].line_off ==
-                                            off + (j - i) * pmem::kCacheLineSize)
-                        ++j;
-                    copy_range_to_back(sh, off, (j - i) * pmem::kCacheLineSize);
-                }
-                i = j;
-            }
-        }
-        if (nt) pmem::nt_drain();
-        finish_idl(sh);
-        pmem::notify_tx_commit();
-        for (int b = 0; b < n; ++b) sh.fp_slots.mark_done(slots[b]);
-        auto& cs = pmem::tl_commit_stats();
-        cs.fastpath_batches++;
-        cs.fastpath_batched += uint64_t(n);
     }
 
     // --- combiner ----------------------------------------------------------

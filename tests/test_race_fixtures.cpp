@@ -339,7 +339,7 @@ TEST_F(RaceFixtureTest, StripeElidedReleaseIsDetected) {
 // Control: the real sync::StripeLockTable, whose release() records the
 // "stripe.release" edge the validate-acquire pairs with, reports nothing.
 TEST_F(RaceFixtureTest, StripeProperReleaseIsSilent) {
-    romulus::sync::StripeLockTable stripes(16);
+    romulus::sync::StripeLockTable stripes;
     const unsigned s = stripes.stripe_of_line(0);
     std::atomic<int> step{0};
 

@@ -35,7 +35,7 @@ struct MutationGuard {
 
 /// Record the romver workload on RomulusLog and run the static rules.  At
 /// 64 bytes the recorded update fits the stripe fast path and commits
-/// through its group apply (fp_apply_batch), which shares the MUT -> CPY
+/// through its group apply (FastPath::apply_batch), which shares the MUT -> CPY
 /// step — and its seeded mutations — with the slow path.
 /// `fastpath_commits`, when given, receives how far the recording moved the
 /// thread's counter: the setup transaction allocates, so it always re-runs

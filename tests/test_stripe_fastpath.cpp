@@ -30,6 +30,7 @@
 #include "analysis/race_detector.hpp"
 #endif
 #include "analysis/tx_trace.hpp"
+#include "core/speculation.hpp"
 #include "db/kvstore.hpp"
 #include "ds/pqueue.hpp"
 #include "ds/rb_tree.hpp"
@@ -38,7 +39,6 @@
 #include "pmem/sim_persistence.hpp"
 #include "pmem/stats.hpp"
 #include "ptm_types.hpp"
-#include "sync/stripe_lock.hpp"
 #include "test_support.hpp"
 
 using namespace romulus;
@@ -50,7 +50,7 @@ using romulus::test::UpdateConfigGuard;
 // ------------------------------------------------------------ stripe table
 
 TEST(StripeLockTable, TryAcquireIsExclusiveAndReleasePublishes) {
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     sync::StripeLockTable::Word pre = ~0ull;
     ASSERT_TRUE(t.try_acquire(3, pre));
     EXPECT_EQ(pre, 0u);
@@ -63,7 +63,7 @@ TEST(StripeLockTable, TryAcquireIsExclusiveAndReleasePublishes) {
 }
 
 TEST(StripeLockTable, ReleaseAbortedRestoresPreAcquireWord) {
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     sync::StripeLockTable::Word pre;
     ASSERT_TRUE(t.try_acquire(9, pre));
     t.release(9, 7);  // version 7 published
@@ -74,36 +74,42 @@ TEST(StripeLockTable, ReleaseAbortedRestoresPreAcquireWord) {
 }
 
 TEST(StripeLockTable, ClockAdvancesMonotonically) {
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     EXPECT_EQ(t.clock_now(), 0u);
     EXPECT_EQ(t.clock_advance(), 1u);
     EXPECT_EQ(t.clock_advance(), 2u);
     EXPECT_EQ(t.clock_now(), 2u);
-    t.reset_for_tests();
-    EXPECT_EQ(t.clock_now(), 0u);
+    const sync::StripeLockTable fresh;  // how a crash reset rebuilds it
+    EXPECT_EQ(fresh.clock_now(), 0u);
 }
 
 TEST(StripeLockTable, StripeOfLineStaysInTable) {
-    sync::StripeLockTable t(8);
     for (size_t line = 0; line < 4096; ++line)
-        EXPECT_LT(t.stripe_of_line(line), t.stripe_count());
+        EXPECT_LT(sync::StripeLockTable::stripe_of_line(line),
+                  sync::StripeLockTable::kStripes);
 }
 
 // ------------------------------------------------------ speculation buffer
 
 namespace {
 alignas(64) uint8_t g_spec_heap[4096];
+
+/// Open a speculation whose shard main (and mapped region) is `heap`.
+void begin_on(SpecBuffer& b, sync::StripeLockTable& t, uint8_t* heap,
+              size_t n) {
+    b.begin(t, heap, n, heap, n);
 }
+}  // namespace
 
 TEST(SpecBuffer, BuffersStoresAndReadsThemBack) {
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
-    sync::SpecBuffer b;
-    b.begin(t.clock_now());
+    SpecBuffer b;
+    begin_on(b, t, g_spec_heap, sizeof(g_spec_heap));
     uint64_t v = 42;
-    sync::spec_store(b, t, g_spec_heap, 128, &v, 8);
+    b.store(g_spec_heap + 128, &v, 8);
     uint64_t got = 0;
-    sync::spec_load(b, t, g_spec_heap, 128, &got, 8);
+    b.load(&got, g_spec_heap + 128, 8);
     EXPECT_EQ(got, 42u);
     EXPECT_EQ(g_spec_heap[128], 0u);  // heap untouched until apply
     EXPECT_FALSE(b.aborted);
@@ -111,41 +117,41 @@ TEST(SpecBuffer, BuffersStoresAndReadsThemBack) {
 }
 
 TEST(SpecBuffer, FootprintOverflowDoomsButKeepsReadYourWrites) {
-    constexpr unsigned kCap = sync::SpecBuffer::kWriteCap;
-    sync::StripeLockTable t(64);
+    constexpr unsigned kCap = SpecBuffer::kWriteCap;
+    sync::StripeLockTable t;
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
-    sync::SpecBuffer b;
-    b.begin(t.clock_now());
+    SpecBuffer b;
+    begin_on(b, t, g_spec_heap, sizeof(g_spec_heap));
     for (unsigned i = 0; i < kCap; ++i) {
         const uint64_t v = i + 1;
-        sync::spec_store(b, t, g_spec_heap, uint64_t(i) * 64, &v, 8);
+        b.store(g_spec_heap + uint64_t(i) * 64, &v, 8);
     }
     EXPECT_FALSE(b.aborted);
     const uint64_t v = kCap + 1;
-    sync::spec_store(b, t, g_spec_heap, uint64_t(kCap) * 64, &v, 8);
+    b.store(g_spec_heap + uint64_t(kCap) * 64, &v, 8);
     EXPECT_TRUE(b.aborted);  // one line past the write-set cap
     EXPECT_FALSE(b.dropped);
     // The doomed continuation still sees its own writes (and never throws).
     for (unsigned i = 0; i <= kCap; ++i) {
         uint64_t got = 0;
-        sync::spec_load(b, t, g_spec_heap, uint64_t(i) * 64, &got, 8);
+        b.load(&got, g_spec_heap + uint64_t(i) * 64, 8);
         EXPECT_EQ(got, i + 1u);
     }
     EXPECT_FALSE(b.load_ends_run());
 }
 
 TEST(SpecBuffer, NewerStripeVersionDoomsLoadButStillReadsRaw) {
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     std::memset(g_spec_heap, 0, sizeof(g_spec_heap));
     g_spec_heap[256] = 0x5A;
-    sync::SpecBuffer b;
-    b.begin(/*read_version=*/0);
+    SpecBuffer b;
+    begin_on(b, t, g_spec_heap, sizeof(g_spec_heap));  // read version 0
     const unsigned st = t.stripe_of_line(256 / 64);
     sync::StripeLockTable::Word pre;
     ASSERT_TRUE(t.try_acquire(st, pre));
     t.release(st, 9);  // version 9 > rv 0: the speculation must not validate
     uint8_t got = 0;
-    sync::spec_load(b, t, g_spec_heap, 256, &got, 1);
+    b.load(&got, g_spec_heap + 256, 1);
     EXPECT_TRUE(b.aborted);
     EXPECT_EQ(got, 0x5A);  // degraded to a raw (word-atomic) read
 }
@@ -154,27 +160,27 @@ TEST(SpecBuffer, LargeStoreIntoFullDoomedWriteSetUpdatesCapturedLines) {
     static constexpr size_t kHeap = 16384;
     alignas(64) static uint8_t heap[kHeap];
     std::memset(heap, 0, kHeap);
-    sync::StripeLockTable t(64);
-    sync::SpecBuffer b;
-    b.begin(t.clock_now());
+    sync::StripeLockTable t;
+    SpecBuffer b;
+    begin_on(b, t, heap, kHeap);
     // Touch every other line until the write set holds kLineCap lines: the
     // speculation dooms past kWriteCap and keeps capturing best-effort to
     // the cap, dropping nothing.
-    for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i) {
+    for (unsigned i = 0; i < SpecBuffer::kLineCap; ++i) {
         const uint8_t v = 1;
-        sync::spec_store(b, t, heap, uint64_t(i) * 128, &v, 1);
+        b.store(heap + uint64_t(i) * 128, &v, 1);
     }
     ASSERT_TRUE(b.aborted);
     ASSERT_FALSE(b.dropped);
-    ASSERT_EQ(b.nw, sync::SpecBuffer::kLineCap);
+    ASSERT_EQ(b.nw, SpecBuffer::kLineCap);
     // An unaligned store across captured and uncapturable lines is dropped:
     // the run will end at its next load, and the heap stays untouched.
     std::vector<uint8_t> big(12000);
     for (size_t i = 0; i < big.size(); ++i) big[i] = uint8_t(i * 7 + 3);
-    sync::spec_store(b, t, heap, 40, big.data(), big.size());
+    b.store(heap + 40, big.data(), big.size());
     EXPECT_TRUE(b.dropped);
     EXPECT_TRUE(b.load_ends_run());
-    EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
+    EXPECT_EQ(b.nw, SpecBuffer::kLineCap);
     for (size_t i = 0; i < kHeap; ++i) ASSERT_EQ(heap[i], 0u) << i;
 }
 
@@ -185,41 +191,73 @@ TEST(SpecBuffer, OversizedStoreDoomsWithoutCapturingALine) {
     static constexpr size_t kBig = 100000;
     alignas(64) static uint8_t heap[kBig + 128];
     std::memset(heap, 0, sizeof(heap));
-    sync::StripeLockTable t(64);
+    sync::StripeLockTable t;
     std::vector<uint8_t> big(kBig, 0xC3);
-    sync::SpecBuffer b;
-    b.begin(t.clock_now());
-    sync::spec_store(b, t, heap, 40, big.data(), big.size());
+    SpecBuffer b;
+    begin_on(b, t, heap, sizeof(heap));
+    b.store(heap + 40, big.data(), big.size());
     EXPECT_TRUE(b.aborted);
     EXPECT_TRUE(b.dropped);
     EXPECT_EQ(b.nw, 0u);
     for (size_t i = 0; i < sizeof(heap); ++i) ASSERT_EQ(heap[i], 0u) << i;
 
-    constexpr size_t kCapBytes = sync::SpecBuffer::kLineCap * 64;
-    b.begin(t.clock_now());
-    sync::spec_store(b, t, heap, 64, big.data(), kCapBytes);
+    constexpr size_t kCapBytes = SpecBuffer::kLineCap * 64;
+    begin_on(b, t, heap, sizeof(heap));
+    b.store(heap + 64, big.data(), kCapBytes);
     EXPECT_FALSE(b.dropped);
-    EXPECT_EQ(b.nw, sync::SpecBuffer::kLineCap);
-    b.begin(t.clock_now());
-    sync::spec_store(b, t, heap, 65, big.data(), kCapBytes);  // one line more
+    EXPECT_EQ(b.nw, SpecBuffer::kLineCap);
+    begin_on(b, t, heap, sizeof(heap));
+    b.store(heap + 65, big.data(), kCapBytes);  // one line more
     EXPECT_TRUE(b.dropped);
     EXPECT_EQ(b.nw, 0u);
+}
+
+// begin() records the shard's main half and the mapped region: an access to
+// main is speculative, one elsewhere in the region (another shard, the
+// header, a back half) dooms the run (a store is also dropped, a load reads
+// word-atomic), and one outside the region (a volatile object) is plain.
+TEST(SpecBuffer, ClassifiesAddressesByShardMainAndRegion) {
+    alignas(64) static uint8_t region[8192];
+    std::memset(region, 0, sizeof(region));
+    uint8_t* const main = region + 4096;
+    region[64] = 0x11;  // outside this shard's main, inside the region
+    sync::StripeLockTable t;
+    SpecBuffer b;
+    b.begin(t, main, 4096, region, sizeof(region));
+    const uint64_t v = 7;
+    b.store(main + 8, &v, 8);
+    EXPECT_FALSE(b.aborted);
+    EXPECT_EQ(b.nw, 1u);
+    uint64_t plain = 0;
+    b.store(&plain, &v, 8);  // volatile: written through at once
+    EXPECT_EQ(plain, 7u);
+    EXPECT_FALSE(b.aborted);
+    uint8_t got = 0;
+    b.load(&got, region + 64, 1);
+    EXPECT_EQ(got, 0x11);
+    EXPECT_TRUE(b.aborted);
+    EXPECT_FALSE(b.dropped);
+    b.store(region + 128, &v, 8);
+    EXPECT_TRUE(b.dropped);
+    EXPECT_EQ(region[128], 0u);
+    EXPECT_EQ(b.nw, 1u);
 }
 
 // A speculation gets one small sandboxed allocation: the block is aligned and
 // writable, a second request or one larger than the sandbox is refused (the
 // engine then ends the run), and begin() hands the sandbox out again.
 TEST(SpecBuffer, SandboxServesOneSmallAllocationPerSpeculation) {
-    sync::SpecBuffer b;
-    b.begin(0);
-    EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes + 1), nullptr);
+    sync::StripeLockTable t;
+    SpecBuffer b;
+    begin_on(b, t, g_spec_heap, sizeof(g_spec_heap));
+    EXPECT_EQ(b.sandbox_alloc(SpecBuffer::kSandboxBytes + 1), nullptr);
     void* a = b.sandbox_alloc(48);
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
     std::memset(a, 0xAB, 48);  // writable
     EXPECT_EQ(b.sandbox_alloc(1), nullptr);
-    b.begin(0);
-    EXPECT_EQ(b.sandbox_alloc(sync::SpecBuffer::kSandboxBytes), a);
+    begin_on(b, t, g_spec_heap, sizeof(g_spec_heap));
+    EXPECT_EQ(b.sandbox_alloc(SpecBuffer::kSandboxBytes), a);
 }
 
 // ------------------------------------------------- engine fast-path typed
@@ -328,7 +366,7 @@ TYPED_TEST(StripeFastPath, OneSmallAllocationRunsSandboxedALargeOneEndsTheRun) {
     int after_big = 0;
     E::updateTx([&] {
         PU* big = static_cast<PU*>(
-            E::alloc_bytes(sync::SpecBuffer::kSandboxBytes + 8));
+            E::alloc_bytes(SpecBuffer::kSandboxBytes + 8));
         ++after_big;
         *big = 6u;
         E::put_object(4, big);
@@ -359,7 +397,7 @@ TYPED_TEST(StripeFastPath, SwallowedAllocationAbortStillFallsBack) {
         PU* obj = nullptr;
         try {
             obj = static_cast<PU*>(
-                E::alloc_bytes(sync::SpecBuffer::kSandboxBytes + 8));
+                E::alloc_bytes(SpecBuffer::kSandboxBytes + 8));
         } catch (const std::bad_alloc&) {
             ++caught_bad_alloc;
             throw;
@@ -516,7 +554,7 @@ TYPED_TEST(StripeFastPath, LargeStoreAfterFullWriteSetReadsItsOwnBytes) {
     const uint64_t fallbacks0 = cs.fastpath_fallbacks;
     std::vector<uint64_t> seen;
     E::updateTx([&] {
-        for (unsigned i = 0; i < sync::SpecBuffer::kLineCap; ++i)
+        for (unsigned i = 0; i < SpecBuffer::kLineCap; ++i)
             *slot(i) = uint64_t(i) + 1;
         E::store_range(big, pat.data(), kBig);
         seen.push_back(slot(5)->pload());
@@ -696,7 +734,7 @@ namespace {
 /// run captures, then loads them back.
 template <typename E>
 struct WideDestructor {
-    static constexpr unsigned kLines = sync::SpecBuffer::kLineCap + 16;
+    static constexpr unsigned kLines = SpecBuffer::kLineCap + 16;
     using PU = typename E::template p<uint64_t>;
     typename E::template p<PU*> slots;  ///< kLines line-strided counters
     static inline uint64_t read_back = 0;  ///< sum the last call loaded
@@ -825,7 +863,7 @@ struct CommitConfigGuard {
 // ------------------------------------------------------------ group apply
 //
 // Fast-path committers announce their locked, validated write sets, and the
-// announcer that wins fp_gate applies every announced set in one
+// announcer that wins the shard's gate applies every announced set in one
 // MUT/CPY/IDL window, each line from its buffered image (DESIGN.md §4.11).
 
 namespace {
@@ -900,9 +938,10 @@ class GroupApply : public ::testing::Test {
     }
 
     /// Deterministic batch of two: a pessimistic reader parks inside readTx,
-    /// holding fp_gate shared, until the committers of (line_a, va) and
-    /// (line_b, vb) have both announced.  Whichever of them wins fp_gate
-    /// waits the reader out and then finds both write sets announced.
+    /// holding the fast-path gate shared, until the committers of
+    /// (line_a, va) and (line_b, vb) have both announced.  Whichever of them
+    /// wins the gate waits the reader out and then finds both write sets
+    /// announced.
     static void commit_two_as_one_batch(int line_a, uint64_t va, int line_b,
                                         uint64_t vb, BatchTotals& tot) {
         ReadConfigGuard guard;
