@@ -11,6 +11,8 @@
 //   build/examples/kvstore_cli stats
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 
 #include "db/romulusdb.hpp"
 
@@ -34,8 +36,17 @@ int main(int argc, char** argv) {
         return 2;
     }
     romulus::pmem::set_profile(romulus::pmem::Profile::CLFLUSH);
-    auto db = RomulusDB::open(
-        romulus::pmem::default_pmem_dir() + "/romulus_kvstore.heap", 64u << 20);
+    std::unique_ptr<RomulusDB> db;
+    try {
+        // Throws, e.g., when the heap holds a store of another layout,
+        // which it leaves unwritten.
+        db = RomulusDB::open(
+            romulus::pmem::default_pmem_dir() + "/romulus_kvstore.heap",
+            64u << 20);
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "kvstore_cli: %s\n", e.what());
+        return 1;
+    }
     WriteOptions wo;
     const std::string cmd = argv[1];
 

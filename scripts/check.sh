@@ -170,8 +170,8 @@ run_leg() {
         # §4.11).  KVStore overwrites a value in
         # place only when the new one has the same length, so the length is
         # fixed; drawn from [0, 8192] no history reached that store.  A new
-        # key's put ends its speculation at its second allocation (the node
-        # takes the speculation's sandbox).  The redo comparator's
+        # key's put ends its speculation at its first allocation (its
+        # one-block record is larger than the sandbox).  The redo comparator's
         # fixed-size log rejects transactions this large, so the pass leaves
         # it out.
         for engine in nl log; do

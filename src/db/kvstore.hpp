@@ -8,10 +8,16 @@
 // returns, the update has passed the PTM's durability point.  WriteBatch
 // gives multi-operation atomicity (all-or-nothing), which LevelDB's write
 // batches do not combine with per-write durability unless sync is on.
+//
+// Layout: each record is one allocator block (a 24 B header, then the key
+// bytes, then the value bytes), and the bucket array doubles once the
+// records outnumber the buckets.  The store's first word is a format
+// constant, so a heap holding an older layout is refused, not misread.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,17 +55,32 @@ class KVStore {
     using p = typename PTM::template p<T>;
 
   public:
+    /// A record's header; its key bytes follow it and its value bytes follow
+    /// the key, all in one block.  The byte addresses derive from the
+    /// record's own address: under RomulusLR a record reached through a
+    /// shifted `next` yields back-half bytes with no pointer load.
     struct Node {
         p<Node*> next;
         p<uint64_t> hash;
-        p<char*> key_buf;
         p<uint32_t> key_len;
-        p<char*> val_buf;
         p<uint32_t> val_len;
+
+        char* key_buf() { return reinterpret_cast<char*>(this + 1); }
+        const char* key_buf() const {
+            return reinterpret_cast<const char*>(this + 1);
+        }
+        char* val_buf(size_t kl) { return key_buf() + kl; }
+        const char* val_buf(size_t kl) const { return key_buf() + kl; }
     };
+
+    /// First word of every store of this layout: "ROMKVST" + layout v2.
+    /// Its top 16 bits are non-zero, so it never equals a heap pointer (the
+    /// first word of the earlier three-block layout).
+    static constexpr uint64_t kFormat = 0x524F4D4B56535402ull;
 
     /// Must be constructed inside a transaction.
     explicit KVStore(uint64_t initial_buckets = 1024) {
+        format = kFormat;
         nbuckets = initial_buckets;
         count = 0;
         buckets = alloc_buckets(initial_buckets);
@@ -73,7 +94,7 @@ class KVStore {
             Node* n = b[i].pload();
             while (n != nullptr) {
                 Node* nx = n->next.pload();
-                free_node(n);
+                PTM::free_bytes(n);
                 n = nx;
             }
         }
@@ -114,9 +135,10 @@ class KVStore {
             found = (n != nullptr);
             if (n == nullptr) return;
             if (value_out != nullptr) {
-                const char* vb = n->val_buf.pload();
+                // The key matched, so the record's key_len is key.size().
                 value_out->resize(n->val_len.pload());
-                load_bytes(value_out->data(), vb, value_out->size());
+                load_bytes(value_out->data(), n->val_buf(key.size()),
+                           value_out->size());
             }
         });
         return found;
@@ -134,22 +156,16 @@ class KVStore {
         return n;
     }
 
+    /// Whether this store was written with this layout.  Read it before any
+    /// other field of a store found in an existing heap.
+    bool format_ok() const { return format.pload() == kFormat; }
+
     /// Full scan, f(key, value); iteration order is hash order — the paper
     /// notes the traversal order is irrelevant for a hash-based store
     /// (§6.4: readseq/readreverse perform identically on RomulusDB).
     template <typename F>
     void for_each(F&& f) const {
-        PTM::readTx([&] {
-            const uint64_t nb = nbuckets.pload();
-            p<Node*>* b = buckets.pload();
-            for (uint64_t i = 0; i < nb; ++i) {
-                for (const Node* n = b[i].pload(); n != nullptr;
-                     n = n->next.pload()) {
-                    f(std::string_view(n->key_buf.pload(), n->key_len.pload()),
-                      std::string_view(n->val_buf.pload(), n->val_len.pload()));
-                }
-            }
-        });
+        scan(f, false);
     }
 
     /// Bounds-checked traversal for walking possibly-torn crash images
@@ -157,8 +173,9 @@ class KVStore {
     /// quiescent heap.  `ok(ptr, len)` must answer whether [ptr, ptr+len)
     /// lies inside the store's heap area; no pointer is dereferenced before
     /// it passes.  Returns false — with a reason in `why` — instead of
-    /// faulting when the structure is corrupt (wild pointer, absurd length,
-    /// chain cycle, or node count disagreeing with the stored `count`).
+    /// faulting when the structure is corrupt (another format word, wild
+    /// pointer, absurd length, chain cycle, or node count disagreeing with
+    /// the stored `count`).
     template <typename F, typename V>
     bool safe_for_each(F&& f, V&& ok, std::string* why = nullptr) const {
         auto fail = [&](const char* reason) {
@@ -166,6 +183,7 @@ class KVStore {
             return false;
         };
         if (!ok(this, sizeof(*this))) return fail("store header out of bounds");
+        if (!format_ok()) return fail("store format word mismatch");
         const uint64_t nb = nbuckets.pload();
         if (nb == 0 || nb > (uint64_t{1} << 26))
             return fail("implausible bucket count");
@@ -179,16 +197,14 @@ class KVStore {
                  n = n->next.pload()) {
                 if (!ok(n, sizeof(Node))) return fail("node out of bounds");
                 if (++seen > max_nodes) return fail("chain cycle suspected");
-                const char* kb = n->key_buf.pload();
                 const uint32_t kl = n->key_len.pload();
-                const char* vb = n->val_buf.pload();
                 const uint32_t vl = n->val_len.pload();
                 if (kl > (1u << 20) || vl > (1u << 20))
                     return fail("implausible key/value length");
-                if (!ok(kb, kl ? kl : 1)) return fail("key buffer out of bounds");
-                if (!ok(vb, vl ? vl : 1))
-                    return fail("value buffer out of bounds");
-                f(std::string_view(kb, kl), std::string_view(vb, vl));
+                if (!ok(n, sizeof(Node) + kl + vl))
+                    return fail("record out of bounds");
+                f(std::string_view(n->key_buf(), kl),
+                  std::string_view(n->val_buf(kl), vl));
             }
         }
         if (seen != count.pload())
@@ -199,20 +215,28 @@ class KVStore {
     /// Reverse-order scan (readreverse): same cost profile by construction.
     template <typename F>
     void for_each_reverse(F&& f) const {
+        scan(f, true);
+    }
+
+  private:
+    /// The scans behind for_each (buckets in order) and for_each_reverse.
+    template <typename F>
+    void scan(F& f, bool reverse) const {
         PTM::readTx([&] {
             const uint64_t nb = nbuckets.pload();
             p<Node*>* b = buckets.pload();
-            for (uint64_t i = nb; i-- > 0;) {
+            for (uint64_t j = 0; j < nb; ++j) {
+                const uint64_t i = reverse ? nb - 1 - j : j;
                 for (const Node* n = b[i].pload(); n != nullptr;
                      n = n->next.pload()) {
-                    f(std::string_view(n->key_buf.pload(), n->key_len.pload()),
-                      std::string_view(n->val_buf.pload(), n->val_len.pload()));
+                    const uint32_t kl = n->key_len.pload();
+                    f(std::string_view(n->key_buf(), kl),
+                      std::string_view(n->val_buf(kl), n->val_len.pload()));
                 }
             }
         });
     }
 
-  private:
     static uint64_t hash_of(std::string_view s) {
         uint64_t h = 1469598103934665603ull;  // FNV-1a
         for (char c : s) {
@@ -256,7 +280,7 @@ class KVStore {
 
     static bool key_equals(const Node* n, std::string_view key) {
         if (n->key_len.pload() != key.size()) return false;
-        const char* kb = n->key_buf.pload();
+        const char* kb = n->key_buf();
         if constexpr (requires(char* d) { PTM::load_range(d, kb, size_t{0}); }) {
             char chunk[64];
             size_t off = 0;
@@ -274,39 +298,50 @@ class KVStore {
         }
     }
 
-    static char* alloc_string(std::string_view s) {
-        char* buf = static_cast<char*>(PTM::alloc_bytes(s.size() ? s.size() : 1));
-        PTM::store_range(buf, s.data(), s.size());
-        return buf;
+    /// A new record in one block; the caller links its `next`.
+    static Node* new_record(uint64_t h, std::string_view key,
+                            std::string_view value) {
+        Node* n = new (PTM::alloc_bytes(sizeof(Node) + key.size() +
+                                        value.size())) Node;
+        n->hash = h;
+        n->key_len = static_cast<uint32_t>(key.size());
+        n->val_len = static_cast<uint32_t>(value.size());
+        PTM::store_range(n->key_buf(), key.data(), key.size());
+        PTM::store_range(n->val_buf(key.size()), value.data(), value.size());
+        return n;
     }
 
     void put_in_tx(std::string_view key, std::string_view value) {
         const uint64_t h = hash_of(key);
         p<Node*>& slot = buckets.pload()[h % nbuckets.pload()];
+        Node* prev = nullptr;
         for (Node* n = slot.pload(); n != nullptr; n = n->next.pload()) {
             if (n->hash.pload() == h && key_equals(n, key)) {
-                // Overwrite: reuse the buffer when the size matches.
                 if (n->val_len.pload() == value.size()) {
-                    PTM::store_range(n->val_buf.pload(), value.data(),
+                    // Same size: overwrite the value bytes in place.
+                    PTM::store_range(n->val_buf(key.size()), value.data(),
                                      value.size());
                 } else {
-                    PTM::free_bytes(n->val_buf.pload());
-                    n->val_buf = alloc_string(value);
-                    n->val_len = static_cast<uint32_t>(value.size());
+                    // Another size: a replacement record takes n's place
+                    // (linked from the bucket slot, or from prev's next).
+                    Node* fresh = new_record(h, key, value);
+                    fresh->next = n->next.pload();
+                    (prev == nullptr ? slot : prev->next) = fresh;
+                    PTM::free_bytes(n);
                 }
                 return;
             }
+            prev = n;
         }
-        Node* n = PTM::template tmNew<Node>();
-        n->hash = h;
-        n->key_buf = alloc_string(key);
-        n->key_len = static_cast<uint32_t>(key.size());
-        n->val_buf = alloc_string(value);
-        n->val_len = static_cast<uint32_t>(value.size());
+        Node* n = new_record(h, key, value);
         n->next = slot.pload();
         slot = n;
         count += 1;
-        if (count.pload() > 4 * nbuckets.pload()) grow();
+        // Double the buckets once the records outnumber them: a chain then
+        // holds at most one record on average, so a successful lookup visits
+        // about 1.5 records (about 3 at four per bucket).  A bucket costs 8 B
+        // against a record's block of about 150 B.
+        if (count.pload() > nbuckets.pload()) grow();
     }
 
     bool del_in_tx(std::string_view key) {
@@ -315,24 +350,14 @@ class KVStore {
         Node* prev = nullptr;
         for (Node* n = slot.pload(); n != nullptr; n = n->next.pload()) {
             if (n->hash.pload() == h && key_equals(n, key)) {
-                if (prev == nullptr) {
-                    slot = n->next.pload();
-                } else {
-                    prev->next = n->next.pload();
-                }
-                free_node(n);
+                (prev == nullptr ? slot : prev->next) = n->next.pload();
+                PTM::free_bytes(n);
                 count -= 1;
                 return true;
             }
             prev = n;
         }
         return false;
-    }
-
-    void free_node(Node* n) {
-        PTM::free_bytes(n->key_buf.pload());
-        PTM::free_bytes(n->val_buf.pload());
-        PTM::tmDelete(n);
     }
 
     void grow() {
@@ -355,6 +380,7 @@ class KVStore {
         nbuckets = new_nb;
     }
 
+    p<uint64_t> format;  ///< kFormat; the first word (format_ok)
     p<p<Node*>*> buckets;
     p<uint64_t> nbuckets;
     p<uint64_t> count;

@@ -42,7 +42,9 @@ class RomulusDB {
     /// Open (and create if needed) the database backed by `heap_file`.
     /// `shards` selects the intra-heap shard count for a freshly created
     /// heap (0: engine default); an existing heap keeps its stored count.
-    /// Throws std::runtime_error if a RomulusDB is already open.
+    /// Throws std::runtime_error if a RomulusDB is already open, or if the
+    /// heap holds a store of another layout (KVStore::kFormat), which it
+    /// then leaves unwritten.
     static std::unique_ptr<RomulusDB> open(const std::string& heap_file,
                                            size_t heap_bytes = 0,
                                            unsigned shards = 0) {

@@ -17,6 +17,8 @@
 
 #include <array>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "db/kvstore.hpp"
@@ -54,25 +56,31 @@ class ShardedKVStore {
 
     /// Attach to (or create, inside per-shard transactions) one KVStore per
     /// engine shard at root slot `root_idx` of each shard's objects array.
+    /// Throws std::runtime_error, before creating or writing anything, if an
+    /// attached store has another layout (KVStore::format_ok).
     explicit ShardedKVStore(int root_idx, uint64_t initial_buckets = 1024)
         : nshards_(PTM::shard_count()) {
         assert(nshards_ >= 1 && nshards_ <= kMaxShards);
         for (unsigned sd = 0; sd < nshards_; ++sd) {
             stores_[sd] = PTM::template get_object<Store>(root_idx, sd);
-            if (stores_[sd] == nullptr) {
-                PTM::updateTx(sd, [&] {
-                    stores_[sd] = PTM::template tmNew<Store>(initial_buckets);
-                    PTM::put_object(root_idx, stores_[sd], sd);
-                });
-            }
+            if (stores_[sd] != nullptr && !stores_[sd]->format_ok())
+                throw std::runtime_error(
+                    "KVStore: the store in shard " + std::to_string(sd) +
+                    " has another layout (written by another version)");
+        }
+        for (unsigned sd = 0; sd < nshards_; ++sd) {
+            if (stores_[sd] != nullptr) continue;
+            PTM::updateTx(sd, [&] {
+                stores_[sd] = PTM::template tmNew<Store>(initial_buckets);
+                PTM::put_object(root_idx, stores_[sd], sd);
+            });
         }
     }
 
     unsigned shards() const { return nshards_; }
 
-    /// Shard owning `key`.  Uses the top bits of the same FNV-1a hash the
-    /// per-shard stores use for buckets, so shard routing and bucket choice
-    /// stay decorrelated.
+    /// Shard owning `key`: shard_for_key (FNV-1a, a murmur3 finalizer, then
+    /// modulo the shard count).
     unsigned shard_of(std::string_view key) const {
         return shard_for_key(key, nshards_);
     }

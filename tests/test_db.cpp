@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "db/romulusdb.hpp"
 #include "db/waldb.hpp"
@@ -154,6 +158,45 @@ TEST_F(RomulusDbTest, RandomOpsMatchStdMap) {
         }
     }
     EXPECT_EQ(db_->size(), model.size());
+}
+
+// A heap whose root store starts with a heap pointer (as the earlier
+// three-block layout did, with its `buckets` field) is refused before open
+// writes anything, and the crash-image walk calls it corrupt.
+TEST_F(RomulusDbTest, OpenRefusesAStoreOfAnotherLayout) {
+    db_->put({}, "k", "v");
+    db_.reset();  // closes the engine
+    RomulusLog::init(64u << 20, path_);
+    using KV = db::KVStore<RomulusLog>;
+    KV* store = RomulusLog::get_object<KV>(RomulusDB::kRootIdx, 0);
+    ASSERT_NE(store, nullptr);
+    RomulusLog::updateTx(0, [&] {
+        const void* heap_ptr = store;
+        RomulusLog::store_range(store, &heap_ptr, sizeof heap_ptr);
+    });
+    std::string why;
+    EXPECT_FALSE(store->safe_for_each([](std::string_view, std::string_view) {},
+                                      [](const void*, size_t) { return true; },
+                                      &why));
+    EXPECT_EQ(why, "store format word mismatch");
+    RomulusLog::close();
+
+    auto file_bytes = [&] {
+        std::ifstream in(path_, std::ios::binary);
+        return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::vector<char> before = file_bytes();
+    ASSERT_FALSE(before.empty());
+    try {
+        db_ = RomulusDB::open(path_, 64u << 20);
+        ADD_FAILURE() << "open accepted a store of another layout";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("another layout"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(RomulusLog::initialized());
+    EXPECT_TRUE(file_bytes() == before) << "the refused open wrote the heap";
 }
 
 // ---------------------------------------------------------------- WalDB

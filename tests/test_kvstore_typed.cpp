@@ -3,9 +3,12 @@
 // construction works over any of them — that is the paper's point).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 
 #include "db/kvstore.hpp"
 #include "ptm_types.hpp"
@@ -165,4 +168,95 @@ TYPED_TEST(KvTyped, SurvivesReopen) {
     std::string v;
     ASSERT_TRUE(re->get("p7", &v));
     EXPECT_EQ(v, "49");
+}
+
+// One block per record: after every phase the allocator holds the store's
+// own blocks plus exactly one per live record, so a replaced record's old
+// block is freed.  500 keys in 64 buckets pass through every load factor up
+// to 1, so replacements relink records at the head, middle and tail of
+// multi-record chains.  One put per transaction keeps the redo baseline's
+// log small.
+TYPED_TEST(KvTyped, ReplacingRecordsKeepsChainsAndFreesOldBlocks) {
+    using P = TypeParam;
+    auto* kv = this->store_;
+    const uint64_t base = P::allocator().alloc_count();
+    std::map<std::string, std::string> model;
+    auto check = [&](const char* phase) {
+        SCOPED_TRACE(phase);
+        EXPECT_EQ(P::allocator().alloc_count(), base + model.size());
+        EXPECT_EQ(kv->size(), model.size());
+        std::map<std::string, std::string> dumped;
+        kv->for_each([&](std::string_view k, std::string_view v) {
+            dumped.emplace(std::string(k), std::string(v));
+        });
+        EXPECT_EQ(dumped, model);
+        std::string got;
+        for (const auto& [k, v] : model) {
+            ASSERT_TRUE(kv->get(k, &got)) << k;
+            EXPECT_EQ(got, v) << k;
+        }
+    };
+    constexpr int kN = 500;
+    auto key = [](int i) { return "r" + std::to_string(i); };
+    for (int i = 0; i < kN; ++i) {
+        kv->put(key(i), "8 bytes!");
+        model[key(i)] = "8 bytes!";
+    }
+    check("insert");
+    for (int i = 0; i < kN; ++i) {  // 9..15 bytes: every record is replaced
+        const std::string v(9 + i % 7, char('a' + i % 26));
+        kv->put(key(i), v);
+        model[key(i)] = v;
+    }
+    check("overwrite");
+    std::string got;
+    for (int i = 0; i < kN; i += 2) {
+        EXPECT_TRUE(kv->del(key(i)));
+        EXPECT_FALSE(kv->get(key(i), &got));
+        model.erase(key(i));
+    }
+    check("delete");
+}
+
+// The crash-image walk bounds-checks a record whole before it reads a byte
+// of its key or value: a val_len that runs one record a byte past the
+// window ends the walk with the record-bounds reason, and the record's
+// key never reaches the callback.
+TYPED_TEST(KvTyped, SafeForEachRejectsARecordPastTheWindow) {
+    using P = TypeParam;
+    using Node = typename KVStore<P>::Node;
+    auto* kv = this->store_;
+    for (int i = 0; i < 200; ++i)
+        kv->put("w" + std::to_string(i), "value " + std::to_string(i));
+    // An open first walk: every range it checks lies in [lo, hi), the
+    // window of the second walk.  A record's header sits right before its
+    // key bytes.
+    uintptr_t lo = UINTPTR_MAX, hi = 0;
+    auto record_all = [&](const void* p, size_t len) {
+        lo = std::min(lo, uintptr_t(p));
+        hi = std::max(hi, uintptr_t(p) + len);
+        return true;
+    };
+    Node* victim = nullptr;
+    ASSERT_TRUE(kv->safe_for_each(
+        [&](std::string_view k, std::string_view) {
+            if (k == "w7")
+                victim = reinterpret_cast<Node*>(const_cast<char*>(k.data()) -
+                                                 sizeof(Node));
+        },
+        record_all));
+    ASSERT_NE(victim, nullptr);
+    const uintptr_t vals = uintptr_t(victim->val_buf(victim->key_len.pload()));
+    P::updateTx([&] { victim->val_len = uint32_t(hi + 1 - vals); });
+
+    auto window = [&](const void* p, size_t len) {
+        return uintptr_t(p) >= lo && uintptr_t(p) + len <= hi;
+    };
+    std::set<std::string> seen;
+    std::string why;
+    EXPECT_FALSE(kv->safe_for_each(
+        [&](std::string_view k, std::string_view) { seen.emplace(k); }, window,
+        &why));
+    EXPECT_EQ(why, "record out of bounds");
+    EXPECT_EQ(seen.count("w7"), 0u);
 }
