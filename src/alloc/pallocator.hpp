@@ -87,7 +87,6 @@ class PAllocator {
     /// small for the next large value, which then comes from the
     /// wilderness.  The allocator ablation bench A/Bs it.
     void set_quick_cache(bool on) { quick_enabled_ = on; }
-    bool quick_cache_enabled() const { return quick_enabled_; }
 
     /// Re-attach to already-formatted metadata (after restart/recovery).
     void attach(Meta* meta, uint8_t* pool, size_t pool_size) {
@@ -171,7 +170,6 @@ class PAllocator {
     uint64_t allocated_bytes() const { return meta_->allocated_bytes.pload(); }
     uint64_t alloc_count() const { return meta_->alloc_count.pload(); }
     uint64_t wilderness_offset() const { return meta_->wilderness.pload(); }
-    size_t pool_size() const { return pool_size_; }
 
     /// Internal consistency check used by tests: walks the heap from chunk 0
     /// to the wilderness mark and cross-checks bin membership.  Returns the

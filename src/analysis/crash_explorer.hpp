@@ -187,16 +187,4 @@ RecoveryCheck probe_allocator() {
     return rc;
 }
 
-/// Both structural checks in one call (the common shape).
-template <typename E>
-RecoveryCheck validate_recovered_engine() {
-    RecoveryCheck rc = check_twin_halves<E>();
-    RecoveryCheck pa = probe_allocator<E>();
-    if (!pa.ok) {
-        rc.ok = false;
-        rc.detail += pa.detail;
-    }
-    return rc;
-}
-
 }  // namespace romulus::analysis

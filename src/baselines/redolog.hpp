@@ -41,6 +41,7 @@
 #include "analysis/race_hooks.hpp"
 #include "baselines/redo_clock.hpp"
 #include "core/engine_globals.hpp"
+#include "core/heap_root.hpp"
 #include "core/persist.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/region.hpp"
@@ -64,8 +65,9 @@ class RedoLogPTM {
 
     static void init(size_t heap_bytes = 0, const std::string& file = {}) {
         if (s.initialized) throw std::runtime_error("RedoLogPTM: double init");
-        size_t size = heap_bytes ? heap_bytes : default_heap_bytes();
-        size = (size + 4095) & ~size_t{4095};
+        std::string path =
+            file.empty() ? pmem::default_pmem_dir() + "/redolog.heap" : file;
+        const size_t size = heap_bytes_for(heap_bytes, path);
         // The fixed per-thread redo logs are large (kMaxThreads * ~64 KiB);
         // without this guard heap_size underflows on a small region and
         // format() scribbles past the mapping.
@@ -75,8 +77,6 @@ class RedoLogPTM {
             throw std::invalid_argument(
                 "RedoLogPTM: heap too small: thread logs + header need " +
                 std::to_string(reserved) + " bytes plus >=1 MiB of heap");
-        std::string path =
-            file.empty() ? pmem::default_pmem_dir() + "/redolog.heap" : file;
         bool created = s.region.map(path, size, kBaseAddr);
 
         s.header = reinterpret_cast<RHeader*>(s.region.base());
@@ -84,7 +84,6 @@ class RedoLogPTM {
         s.heap = s.region.base() + kHeaderReserved +
                  sizeof(ThreadLog) * sync::kMaxThreads;
         s.heap_size = size - (s.heap - s.region.base());
-        s.meta = reinterpret_cast<HeapMeta*>(s.heap);
         if (!s.locks) s.locks = std::make_unique<std::atomic<uint64_t>[]>(kNumStripes);
         for (size_t i = 0; i < kNumStripes; ++i)
             s.locks[i].store(0, std::memory_order_relaxed);
@@ -96,7 +95,7 @@ class RedoLogPTM {
         } else {
             format();
         }
-        s.alloc.attach(&s.meta->alloc_meta, pool_base(), pool_size());
+        s.meta = Root::attach(s.heap, s.heap_size, s.alloc);
         // Only *transactional* accesses are instrumented for this engine
         // (see the hooks in read_word/tx_commit): with per-stripe happens-
         // before edges, modelling the raw non-tx accesses would produce
@@ -315,18 +314,7 @@ class RedoLogPTM {
 
     template <typename T, typename... Args>
     static T* tmNew(Args&&... args) {
-        void* ptr = alloc_bytes(sizeof(T));
-        if constexpr (sizeof...(Args) == 0) {
-            // Value-initializing placement-new would zero the object with
-            // raw in-place stores that bypass the write set — mutating the
-            // live heap before commit, which a discarded (crashed) redo log
-            // can never undo.  Zero through zero_range (write-set routed)
-            // and default-initialize instead.
-            zero_range(ptr, sizeof(T));
-            return new (ptr) T;
-        } else {
-            return new (ptr) T(std::forward<Args>(args)...);
-        }
+        return tm_new<T, RedoLogPTM>(std::forward<Args>(args)...);
     }
     template <typename T>
     static void tmDelete(T* obj) {
@@ -439,10 +427,7 @@ class RedoLogPTM {
         uint64_t heap_size;
     };
 
-    struct HeapMeta {
-        p<void*> roots[kMaxRootObjects];
-        typename Alloc::Meta alloc_meta;
-    };
+    using Root = HeapRoot<RedoLogPTM>;
 
     // --- write set: word address -> value, with insertion order ------------
     struct WriteSet {
@@ -516,7 +501,7 @@ class RedoLogPTM {
         ThreadLog* logs = nullptr;
         uint8_t* heap = nullptr;
         size_t heap_size = 0;
-        HeapMeta* meta = nullptr;
+        Root* meta = nullptr;
         Alloc alloc;
         std::unique_ptr<std::atomic<uint64_t>[]> locks;  // version<<1 | locked
         std::mutex fallback_mutex;
@@ -529,11 +514,6 @@ class RedoLogPTM {
         auto b = reinterpret_cast<uintptr_t>(s.heap);
         return u >= b && u < b + s.heap_size;
     }
-    static uint8_t* pool_base() {
-        size_t meta_end = (sizeof(HeapMeta) + 63) & ~size_t{63};
-        return s.heap + meta_end;
-    }
-    static size_t pool_size() { return s.heap_size - (pool_base() - s.heap); }
 
     static std::atomic<uint64_t>& lock_of(uintptr_t word_addr) {
         return s.locks[(word_addr >> 3) & (kNumStripes - 1)];
@@ -697,8 +677,7 @@ class RedoLogPTM {
         pmem::pfence();
 
         s.header->heap_size = s.heap_size;
-        size_t meta_end = (sizeof(HeapMeta) + 63) & ~size_t{63};
-        s.header->used_size.store(meta_end);
+        s.header->used_size.store(Root::bytes());
         pmem::on_store(s.header, sizeof(RHeader));
         pmem::pwb_range(s.header, sizeof(RHeader));
 
@@ -709,10 +688,7 @@ class RedoLogPTM {
         }
         pmem::pfence();
 
-        new (s.meta) HeapMeta;
-        for (int i = 0; i < kMaxRootObjects; ++i) s.meta->roots[i] = nullptr;
-        s.alloc.format(&s.meta->alloc_meta, pool_base(), pool_size());
-        pmem::pwb_range(s.heap, meta_end);
+        Root::format(s.heap, s.heap_size, s.alloc);
         pmem::pfence();
 
         s.header->magic.store(kMagic);

@@ -28,6 +28,7 @@
 #include "alloc/pallocator.hpp"
 #include "analysis/race_hooks.hpp"
 #include "core/engine_globals.hpp"
+#include "core/heap_root.hpp"
 #include "core/persist.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/region.hpp"
@@ -46,8 +47,9 @@ class UndoLogPTM {
 
     static void init(size_t heap_bytes = 0, const std::string& file = {}) {
         if (s.initialized) throw std::runtime_error("UndoLogPTM: double init");
-        size_t size = heap_bytes ? heap_bytes : default_heap_bytes();
-        size = (size + 4095) & ~size_t{4095};
+        std::string path =
+            file.empty() ? pmem::default_pmem_dir() + "/undolog.heap" : file;
+        const size_t size = heap_bytes_for(heap_bytes, path);
         // The log area scales with the region (1/8th, >= 1 MiB) so small
         // test heaps work and huge transactions (Fig. 6 resizes) still fit.
         // Check the size before mapping: map() resizes an existing file.
@@ -57,8 +59,6 @@ class UndoLogPTM {
             throw std::invalid_argument(
                 "UndoLogPTM: heap too small: undo log + header need " +
                 std::to_string(reserved) + " bytes plus >=1 MiB of heap");
-        std::string path =
-            file.empty() ? pmem::default_pmem_dir() + "/undolog.heap" : file;
         bool created = s.region.map(path, size, kBaseAddr);
 
         s.log_capacity = log_bytes / sizeof(LogEntry);
@@ -66,7 +66,6 @@ class UndoLogPTM {
         s.log = reinterpret_cast<LogEntry*>(s.region.base() + kHeaderReserved);
         s.heap = s.region.base() + reserved;
         s.heap_size = size - reserved;
-        s.meta = reinterpret_cast<HeapMeta*>(s.heap);
 
         if (!created && s.header->magic.load() == kMagic &&
             s.header->heap_size == s.heap_size) {
@@ -74,7 +73,7 @@ class UndoLogPTM {
         } else {
             format();
         }
-        s.alloc.attach(&s.meta->alloc_meta, pool_base(), pool_size());
+        s.meta = Root::attach(s.heap, s.heap_size, s.alloc);
         ROMULUS_RACE_REGISTER_REGION(s.heap, s.heap_size, "UndoLog", "heap",
                                      nullptr);
         s.initialized = true;
@@ -212,19 +211,7 @@ class UndoLogPTM {
 
     template <typename T, typename... Args>
     static T* tmNew(Args&&... args) {
-        void* ptr = alloc_bytes(sizeof(T));
-        if constexpr (sizeof...(Args) == 0) {
-            // Value-initializing placement-new would zero the object with
-            // raw stores that bypass pstore — and thus the undo log, making
-            // the chunk's previous content unrestorable after a crash mid-tx
-            // (found by romfuzz: a rolled-back allocation left zeroes inside
-            // a freed-and-reused value buffer).  Zero through zero_range
-            // (logged) and default-initialize instead.
-            zero_range(ptr, sizeof(T));
-            return new (ptr) T;
-        } else {
-            return new (ptr) T(std::forward<Args>(args)...);
-        }
+        return tm_new<T, UndoLogPTM>(std::forward<Args>(args)...);
     }
     template <typename T>
     static void tmDelete(T* obj) {
@@ -281,16 +268,7 @@ class UndoLogPTM {
         uint64_t n = s.header->log_count.load();
         if (n == 0) return;
         if (n > s.log_capacity) throw std::runtime_error("UndoLogPTM: bad log");
-        for (uint64_t i = n; i-- > 0;) {
-            const LogEntry& e = s.log[i];
-            auto* dst = reinterpret_cast<uint64_t*>(s.heap + e.heap_off);
-            *dst = e.old_val;
-            pmem::on_store(dst, 8);
-            pmem::pwb(dst);
-        }
-        pmem::pfence();
-        truncate_log();
-        pmem::psync();
+        replay_log(n);
     }
 
   private:
@@ -310,10 +288,7 @@ class UndoLogPTM {
         uint64_t heap_size;
     };
 
-    struct HeapMeta {
-        p<void*> roots[kMaxRootObjects];
-        typename Alloc::Meta alloc_meta;
-    };
+    using Root = HeapRoot<UndoLogPTM>;
 
     struct State {
         pmem::PmemRegion region;
@@ -322,7 +297,7 @@ class UndoLogPTM {
         uint64_t log_capacity = 0;
         uint8_t* heap = nullptr;
         size_t heap_size = 0;
-        HeapMeta* meta = nullptr;
+        Root* meta = nullptr;
         Alloc alloc;
         std::shared_timed_mutex mutex;
         bool initialized = false;
@@ -340,12 +315,6 @@ class UndoLogPTM {
         auto b = reinterpret_cast<uintptr_t>(s.heap);
         return u >= b && u < b + s.heap_size;
     }
-
-    static uint8_t* pool_base() {
-        size_t meta_end = (sizeof(HeapMeta) + 63) & ~size_t{63};
-        return s.heap + meta_end;
-    }
-    static size_t pool_size() { return s.heap_size - (pool_base() - s.heap); }
 
     /// Append undo entries for the 8-byte words covering [addr, addr+len),
     /// persist them, fence, and only then may the caller store in place.
@@ -403,8 +372,9 @@ class UndoLogPTM {
         ROMULUS_RACE_TX_END();
     }
 
-    static void rollback() {
-        uint64_t n = s.header->log_count.load();
+    /// Restore the old values of the log's first `n` entries, newest
+    /// first, then truncate the log: what recovery and an abort both do.
+    static void replay_log(uint64_t n) {
         for (uint64_t i = n; i-- > 0;) {
             const LogEntry& e = s.log[i];
             auto* dst = reinterpret_cast<uint64_t*>(s.heap + e.heap_off);
@@ -415,6 +385,10 @@ class UndoLogPTM {
         pmem::pfence();
         truncate_log();
         pmem::psync();
+    }
+
+    static void rollback() {
+        replay_log(s.header->log_count.load());
         pmem::notify_tx_abort();
         ROMULUS_RACE_TX_END();
     }
@@ -426,16 +400,12 @@ class UndoLogPTM {
 
         s.header->log_count.store(0);
         s.header->heap_size = s.heap_size;
-        size_t meta_end = (sizeof(HeapMeta) + 63) & ~size_t{63};
-        s.header->used_size.store(meta_end);
+        s.header->used_size.store(Root::bytes());
         pmem::on_store(s.header, sizeof(UHeader));
         pmem::pwb_range(s.header, sizeof(UHeader));
 
         tl.tx_depth = 0;  // format stores go through the non-logged path
-        new (s.meta) HeapMeta;
-        for (int i = 0; i < kMaxRootObjects; ++i) s.meta->roots[i] = nullptr;
-        s.alloc.format(&s.meta->alloc_meta, pool_base(), pool_size());
-        pmem::pwb_range(s.heap, meta_end);
+        Root::format(s.heap, s.heap_size, s.alloc);
         pmem::pfence();
 
         s.header->magic.store(kMagic);

@@ -1,5 +1,7 @@
 #include "core/engine_globals.hpp"
 
+#include <sys/stat.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -93,6 +95,15 @@ size_t default_heap_bytes() {
     if (env_to_long("ROMULUS_HEAP_MB", 1, &v))
         return static_cast<size_t>(v) * 1024 * 1024;
     return 64ull * 1024 * 1024;
+}
+
+size_t heap_bytes_for(size_t heap_bytes, const std::string& path) {
+    size_t size = heap_bytes;
+    struct ::stat st{};
+    if (size == 0 && ::stat(path.c_str(), &st) == 0)
+        size = static_cast<size_t>(st.st_size);
+    if (size == 0) size = default_heap_bytes();
+    return (size + 4095) & ~size_t{4095};
 }
 
 unsigned default_shard_count() {

@@ -12,6 +12,11 @@ namespace romulus {
 /// Default persistent heap size: ROMULUS_HEAP_MB env var (in MiB) or 64 MiB.
 size_t default_heap_bytes();
 
+/// The size every engine's init() maps, rounded up to whole pages:
+/// `heap_bytes`; with 0, the size of an existing non-empty file at `path`
+/// (a reopen maps a heap at its own size), else default_heap_bytes().
+size_t heap_bytes_for(size_t heap_bytes, const std::string& path);
+
 /// Size of every PTM's root-object ("objects array", §4.3) table, per shard.
 inline constexpr int kMaxRootObjects = 64;
 

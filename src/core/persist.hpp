@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -87,5 +88,24 @@ class persist {
   private:
     T val_;
 };
+
+/// Every PTM's tmNew: allocate from PTM and construct.  With no constructor
+/// arguments the object is zeroed through PTM::zero_range and then
+/// default-initialized (which writes nothing for a trivially-constructible
+/// T).  Value-initializing placement-new (`new (ptr) T()`) would zero it with
+/// raw stores the interposition layer never sees: the range log would not
+/// replicate the zeroing to back, and the undo log could not restore the
+/// chunk's previous content after a crash mid-transaction (romfuzz found a
+/// rolled-back allocation that left zeroes in a reused value buffer).
+template <typename T, typename PTM, typename... Args>
+T* tm_new(Args&&... args) {
+    void* ptr = PTM::alloc_bytes(sizeof(T));
+    if constexpr (sizeof...(Args) == 0) {
+        PTM::zero_range(ptr, sizeof(T));
+        return new (ptr) T;
+    } else {
+        return new (ptr) T(std::forward<Args>(args)...);
+    }
+}
 
 }  // namespace romulus

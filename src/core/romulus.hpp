@@ -46,6 +46,7 @@
 #include "analysis/persist_graph.hpp"  // seeded protocol-mutation hooks
 #endif
 #include "core/engine_globals.hpp"
+#include "core/heap_root.hpp"
 #include "core/persist.hpp"
 #include "core/range_log.hpp"
 #include "core/speculation.hpp"
@@ -77,16 +78,65 @@ class RomulusEngine {
     static constexpr const char* name() { return Traits::kName; }
 
     // ---------------------------------------------------------------------
+    // Persistent header: the first page of the heap file
+    // ---------------------------------------------------------------------
+
+    static constexpr size_t kHeaderReserved = 4096;
+    static constexpr size_t kShardHeaderOffset = 64;
+
+    /// Global header: geometry only.  Per-shard crash state lives in the
+    /// ShardHeader array that follows at kShardHeaderOffset.
+    struct PHeader {
+        std::atomic<uint64_t> magic;
+        uint32_t shard_count;
+        uint64_t main_size;  ///< per-shard twin-half size
+        uint64_t region_size;
+    };
+    static_assert(sizeof(PHeader) <= kShardHeaderOffset,
+                  "PHeader must fit before the shard-header array");
+
+    /// One cache line per shard so two shards' state words never share a
+    /// line (their commit pwbs are concurrent).
+    struct alignas(64) ShardHeader {
+        std::atomic<uint32_t> state;
+        std::atomic<uint64_t> used_size;
+    };
+    static_assert(kShardHeaderOffset + kMaxShards * sizeof(ShardHeader) <=
+                      kHeaderReserved,
+                  "shard headers must fit in the reserved header page");
+
+    /// True when `header_page` (the first kHeaderReserved bytes of a file of
+    /// `file_size` bytes) heads a heap of this variant: its magic, a shard
+    /// count in [1, kMaxShards], and the geometry the file's size gives that
+    /// many shards.  init() recovers such a heap and formats anything else.
+    static bool owns_heap(const void* header_page, size_t file_size) {
+        const auto* h = static_cast<const PHeader*>(header_page);
+        if (h->magic.load(std::memory_order_relaxed) != magic_value() ||
+            h->shard_count < 1 || h->shard_count > kMaxShards ||
+            h->region_size != file_size)
+            return false;
+        try {
+            return h->main_size == pmem::ShardLayout::compute(
+                                       file_size, h->shard_count,
+                                       kHeaderReserved)
+                                       .main_size;
+        } catch (const std::invalid_argument&) {
+            return false;
+        }
+    }
+
+    // ---------------------------------------------------------------------
     // Lifecycle
     // ---------------------------------------------------------------------
 
     /// Map (and if needed format) the persistent heap.  Runs recovery when
     /// attaching to an existing heap (so a heap left in MUT/CPY by a crash
-    /// is consistent before the first access).  `shards` picks the zone
-    /// count for a *fresh* heap (0: the ROMULUS_SHARDS env default); a valid
-    /// existing heap dictates its own stored shard count — adopting the
-    /// persisted geometry instead of reformatting on mismatch is what makes
-    /// a heap created with S=4 reopen safely from a default-configured
+    /// is consistent before the first access).  `heap_bytes == 0` maps an
+    /// existing heap at its own size (heap_bytes_for).  `shards` picks the
+    /// zone count for a *fresh* heap (0: the ROMULUS_SHARDS env default); a
+    /// valid existing heap dictates its own stored shard count — adopting
+    /// the persisted geometry instead of reformatting on mismatch is what
+    /// makes a heap created with S=4 reopen safely from a default-configured
     /// process.
     static void init(size_t heap_bytes = 0, const std::string& file = {},
                      unsigned shards = 0) {
@@ -94,27 +144,16 @@ class RomulusEngine {
         const unsigned want = shards != 0 ? shards : default_shard_count();
         if (want < 1 || want > kMaxShards)
             throw std::invalid_argument("RomulusEngine: shard count out of range");
-        size_t size = heap_bytes ? heap_bytes : default_heap_bytes();
-        size = (size + 4095) & ~size_t{4095};
         std::string path = file.empty()
                                ? pmem::default_pmem_dir() + "/" + Traits::kFileName
                                : file;
-        bool created = s.region.map(path, size, Traits::kBaseAddr);
+        const size_t size = heap_bytes_for(heap_bytes, path);
+        s.region.map(path, size, Traits::kBaseAddr);
         s.header = reinterpret_cast<PHeader*>(s.region.base());
-
-        bool valid = !created && s.header->magic.load() == magic_value() &&
-                     s.header->shard_count >= 1 &&
-                     s.header->shard_count <= kMaxShards &&
-                     s.header->region_size == size;
-        const unsigned S = valid ? s.header->shard_count : want;
+        const bool valid = owns_heap(s.header, size);
         try {
-            s.layout = pmem::ShardLayout::compute(size, S, kHeaderReserved);
-            if (valid && s.header->main_size != s.layout.main_size) {
-                valid = false;  // geometry mismatch: reformat with the request
-                if (S != want)
-                    s.layout =
-                        pmem::ShardLayout::compute(size, want, kHeaderReserved);
-            }
+            s.layout = pmem::ShardLayout::compute(
+                size, valid ? s.header->shard_count : want, kHeaderReserved);
         } catch (...) {
             s.region.unmap();  // leave the engine re-initializable
             s.header = nullptr;
@@ -141,7 +180,7 @@ class RomulusEngine {
         }
         for (unsigned i = 0; i < s.nshards; ++i) {
             Shard& sh = shard(i);
-            sh.alloc.attach(&sh.meta->alloc_meta, pool_base(sh), pool_size(sh));
+            sh.meta = Root::attach(sh.main, s.main_size, sh.alloc);
             sh.used_pwb_pending = false;  // deferred pwbs died with the restart
             ROMULUS_RACE_REGISTER_REGION(sh.main, s.main_size, Traits::kName,
                                          "main", &sh.hdr->state);
@@ -499,19 +538,7 @@ class RomulusEngine {
 
     template <typename T, typename... Args>
     static T* tmNew(Args&&... args) {
-        void* ptr = alloc_bytes(sizeof(T));
-        if constexpr (sizeof...(Args) == 0) {
-            // Value-initializing placement-new (`new (ptr) T()`) zeroes a
-            // trivially-constructible T with raw stores the interposition
-            // layer never sees, so the zeroing would neither be range-logged
-            // for twin propagation nor be recoverable by the log baselines.
-            // Zero through zero_range and default-initialize instead (which
-            // writes nothing for trivially-constructible T).
-            zero_range(ptr, sizeof(T));
-            return new (ptr) T;
-        } else {
-            return new (ptr) T(std::forward<Args>(args)...);
-        }
+        return tm_new<T, RomulusEngine>(std::forward<Args>(args)...);
     }
 
     template <typename T>
@@ -562,7 +589,7 @@ class RomulusEngine {
             // array, not main's: the writer mutates main's roots mid-tx, so
             // reading them here could observe a root whose object does not
             // exist in back yet.  back holds the previous commit's snapshot
-            // (MainMeta is inside the copied range), and pload()'s value
+            // (the root block is inside the copied range), and pload()'s value
             // shift then moves the stored main-internal pointer into back.
             if (tl.read_offset != 0 && shard_id == tl.shard) {
                 const auto* shifted = reinterpret_cast<const p<void*>*>(
@@ -705,9 +732,8 @@ class RomulusEngine {
   private:
     using Spec = FastPath<RomulusEngine>;
     friend Spec;
+    using Root = HeapRoot<RomulusEngine>;
 
-    static constexpr size_t kHeaderReserved = 4096;
-    static constexpr size_t kShardHeaderOffset = 64;
     static constexpr uint64_t kMagicBase = 0x524F4D554C555302ull;  // "ROMULUS"+layout v2
 
     static uint64_t magic_value() {
@@ -716,32 +742,6 @@ class RomulusEngine {
         for (const char* c = Traits::kName; *c; ++c) h = h * 31 + uint64_t(*c);
         return h;
     }
-
-    /// Global header page: geometry only.  Per-shard crash state lives in
-    /// the ShardHeader array that follows at kShardHeaderOffset.
-    struct PHeader {
-        std::atomic<uint64_t> magic;
-        uint32_t shard_count;
-        uint64_t main_size;  ///< per-shard twin-half size
-        uint64_t region_size;
-    };
-    static_assert(sizeof(PHeader) <= kShardHeaderOffset,
-                  "PHeader must fit before the shard-header array");
-
-    /// One cache line per shard so two shards' state words never share a
-    /// line (their commit pwbs are concurrent).
-    struct alignas(64) ShardHeader {
-        std::atomic<uint32_t> state;
-        std::atomic<uint64_t> used_size;
-    };
-    static_assert(kShardHeaderOffset + kMaxShards * sizeof(ShardHeader) <=
-                      kHeaderReserved,
-                  "shard headers must fit in the reserved header page");
-
-    struct MainMeta {
-        p<void*> roots[kMaxRootObjects];
-        typename Alloc::Meta alloc_meta;
-    };
 
     /// One shard = one zone's pointers + persistent header slots + its own
     /// volatile concurrency kit.  Constructed only for active shards (the
@@ -752,7 +752,7 @@ class RomulusEngine {
         uint8_t* main = nullptr;
         uint8_t* back = nullptr;
         ShardHeader* hdr = nullptr;
-        MainMeta* meta = nullptr;
+        Root* meta = nullptr;
         Alloc alloc;
         RangeLog log;
         sync::CRWWPLock rwlock;           // C-RW-WP variants
@@ -822,7 +822,6 @@ class RomulusEngine {
             sh->main = s.region.base() + s.layout.main_offset(i);
             sh->back = s.region.base() + s.layout.back_offset(i);
             sh->hdr = shard_headers() + i;
-            sh->meta = reinterpret_cast<MainMeta*>(sh->main);
         }
     }
 
@@ -858,14 +857,6 @@ class RomulusEngine {
         if (zi >= n) return nullptr;
         Shard& sh = shard(static_cast<unsigned>(zi));
         return in_shard_main(sh, ptr) ? &sh : nullptr;
-    }
-
-    static uint8_t* pool_base(Shard& sh) {
-        size_t meta_end = (sizeof(MainMeta) + 63) & ~size_t{63};
-        return sh.main + meta_end;
-    }
-    static size_t pool_size(Shard& sh) {
-        return s.main_size - (pool_base(sh) - sh.main);
     }
 
     static uint64_t main_offset(const Shard& sh, const void* ptr) {
@@ -1066,7 +1057,6 @@ class RomulusEngine {
         pmem::on_store(s.header, sizeof(PHeader));
         pmem::pwb_range(s.header, sizeof(PHeader));
 
-        const size_t meta_end = (sizeof(MainMeta) + 63) & ~size_t{63};
         for (unsigned i = 0; i < s.nshards; ++i) {
             Shard& sh = shard(i);
             tl.shard = i;
@@ -1074,19 +1064,16 @@ class RomulusEngine {
             if constexpr (Traits::kUseLog) sh.log.begin_tx(0);
 
             sh.hdr->state.store(IDL);
-            sh.hdr->used_size.store(meta_end);
+            sh.hdr->used_size.store(Root::bytes());
             pmem::on_store(sh.hdr, sizeof(ShardHeader));
             pmem::pwb_range(sh.hdr, sizeof(ShardHeader));
 
-            new (sh.meta) MainMeta;  // persist<> members are raw pods
-            for (int r = 0; r < kMaxRootObjects; ++r) sh.meta->roots[r] = nullptr;
-            sh.alloc.format(&sh.meta->alloc_meta, pool_base(sh), pool_size(sh));
+            Root::format(sh.main, s.main_size, sh.alloc);
             sh.used_pwb_pending = false;  // used_size is flushed just below
-            pmem::pwb_range(sh.main, meta_end);
             pmem::pwb(&sh.hdr->used_size);
             pmem::pfence();
 
-            copy_range_to_back(sh, 0, meta_end);
+            copy_range_to_back(sh, 0, Root::bytes());
             pmem::pfence();
             tl.tx_depth = 0;
         }

@@ -17,8 +17,6 @@
 // engine down on destruction.
 #pragma once
 
-#include <sys/stat.h>
-
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -40,8 +38,10 @@ class RomulusDB {
     static constexpr int kRootIdx = 63;  // reserved root slot in every shard
 
     /// Open (and create if needed) the database backed by `heap_file`.
-    /// `shards` selects the intra-heap shard count for a freshly created
-    /// heap (0: engine default); an existing heap keeps its stored count.
+    /// `heap_bytes == 0` maps an existing heap at its own size (LevelDB-style
+    /// reopen) and creates a new one at default_heap_bytes().  `shards`
+    /// selects the intra-heap shard count for a freshly created heap (0:
+    /// engine default); an existing heap keeps its stored count.
     /// Throws std::runtime_error if a RomulusDB is already open, or if the
     /// heap holds a store of another layout (KVStore::kFormat), which it
     /// then leaves unwritten.
@@ -57,14 +57,7 @@ class RomulusDB {
         // it (including on a throw below, via unique_ptr unwinding).
         auto db = std::unique_ptr<RomulusDB>(new RomulusDB());
         if (!RomulusLog::initialized()) {
-            // LevelDB-style reopen: with no explicit size, an existing heap
-            // is mapped at its own size (a default-sized map over a smaller
-            // heap would fail validation and reformat it).
-            size_t bytes = heap_bytes;
-            struct ::stat st{};
-            if (bytes == 0 && ::stat(heap_file.c_str(), &st) == 0)
-                bytes = static_cast<size_t>(st.st_size);
-            RomulusLog::init(bytes, heap_file, shards);
+            RomulusLog::init(heap_bytes, heap_file, shards);
             db->owns_engine_ = true;
         }
         db->store_.emplace(kRootIdx);

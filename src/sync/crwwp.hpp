@@ -75,10 +75,6 @@ class CRWWPLock {
         writers_mutex_.unlock();
     }
 
-    bool writer_present() const {
-        return writer_present_.load(std::memory_order_acquire);
-    }
-
   private:
     void wait_readers() {
         // Resumable drain: writer_present_ is already published, so a slot

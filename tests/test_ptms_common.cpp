@@ -64,6 +64,26 @@ TYPED_TEST(PtmCommon, DataSurvivesCloseAndReopen) {
     EXPECT_EQ(got, 0xABCDu);
 }
 
+TYPED_TEST(PtmCommon, ReopenWithoutSizeMapsTheHeapAtItsOwnSize) {
+    using P = TypeParam;
+    P::updateTx([&] {
+        auto* v = P::template tmNew<typename P::template p<uint64_t>>();
+        *v = 0x5EEDu;
+        P::put_object(2, v);
+    });
+    std::string path = this->session_->path;
+    P::close();
+    P::init(0, path);  // not the 64 MiB default: the file's own 16 MiB
+    EXPECT_EQ(P::region().size(), size_t{16} << 20);
+    uint64_t got = 0;
+    P::readTx([&] {
+        auto* v = P::template get_object<typename P::template p<uint64_t>>(2);
+        ASSERT_NE(v, nullptr) << "init(0) reformatted the heap";
+        got = v->pload();
+    });
+    EXPECT_EQ(got, 0x5EEDu);
+}
+
 TYPED_TEST(PtmCommon, StoreRangeRoundTrips) {
     using P = TypeParam;
     constexpr size_t kN = 1000;

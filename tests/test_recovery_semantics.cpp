@@ -1,10 +1,12 @@
 // Direct unit tests of the Algorithm 1 recovery semantics on the Romulus
 // engines: which twin is authoritative in each state, idempotence, the
-// no-op IDL path, reformat on magic mismatch, and used_size monotonicity.
+// no-op IDL path, reformat on magic mismatch, the header-page ownership
+// check init() and heap_inspect share, and used_size monotonicity.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "core/romulus.hpp"
 #include "test_support.hpp"
@@ -59,20 +61,14 @@ TYPED_TEST(RecoverySemantics, CpyStateRecoversFromMain) {
     // main->back copy happens.
     E::begin_transaction();
     *cell = 777u;
-    // Manually reach CPY (what end_transaction does before copying):
-    // we emulate by scribbling state directly, as a crashed process would
-    // have left it.  The raw header field is not part of the public API, so
-    // go through a targeted end: begin a nested... simpler: copy what
-    // end_transaction persists before the copy by finishing the tx and then
-    // forcing state back to CPY with back made stale again.
+    // Finish the transaction, then scribble the state word (public through
+    // state_addr()) the way a crashed process would have left it.
     E::end_transaction();
     // Now main == back == 777.  Make back stale and state CPY: that is
     // byte-wise exactly the crashed-in-CPY picture.
     std::memset(E::back_base(), 0xCD, 64);  // corrupt back's first line
-    // Shard 0's state word lives at the head of the first ShardHeader cache
-    // line (header layout v2: geometry line, then one line per shard).
-    auto* state_addr = reinterpret_cast<std::atomic<uint32_t>*>(
-        E::region().base() + 64);
+    auto* state_addr = static_cast<std::atomic<uint32_t>*>(
+        const_cast<void*>(E::state_addr()));
     state_addr->store(CPY);
     E::crash_reset_for_tests();
     E::recover();
@@ -121,6 +117,23 @@ TYPED_TEST(RecoverySemantics, MagicMismatchReformatsInsteadOfMisreading) {
     E::init(8u << 20, path);
     EXPECT_EQ(E::template get_object<void>(0), nullptr) << "reformatted";
     EXPECT_EQ(E::state(), IDL);
+}
+
+TYPED_TEST(RecoverySemantics, HeaderPageIsOwnedByItsOwnVariantOnly) {
+    using E = TypeParam;
+    this->make_cell(1234);
+    const size_t size = E::region().size();
+    alignas(64) uint8_t page[E::kHeaderReserved];
+    std::memcpy(page, E::region().base(), sizeof page);
+    EXPECT_TRUE(E::owns_heap(page, size));
+    EXPECT_EQ(RomulusNL::owns_heap(page, size), (std::is_same_v<E, RomulusNL>));
+    EXPECT_EQ(RomulusLog::owns_heap(page, size),
+              (std::is_same_v<E, RomulusLog>));
+    EXPECT_EQ(RomulusLR::owns_heap(page, size), (std::is_same_v<E, RomulusLR>));
+    EXPECT_FALSE(E::owns_heap(page, size - 4096)) << "file 4 KiB short";
+    EXPECT_FALSE(E::owns_heap(page, size + 4096)) << "file 4 KiB long";
+    page[0] ^= 0xFF;  // the magic's first byte
+    EXPECT_FALSE(E::owns_heap(page, size)) << "magic flipped";
 }
 
 TYPED_TEST(RecoverySemantics, UsedSizeGrowsMonotonicallyAndBoundsRecovery) {

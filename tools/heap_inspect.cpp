@@ -1,13 +1,14 @@
-// heap_inspect: operator tool that opens a Romulus heap file read-only-ish
-// and reports its persistent state — header fields, crash disposition,
-// allocator statistics, root table occupancy and a full heap-walk
-// consistency check.  Useful after a crash to see what recovery will do
-// before letting an application attach.
+// heap_inspect: operator tool that reports the persistent state of a Romulus
+// heap file — header fields, crash disposition, allocator statistics, root
+// table occupancy and a full heap-walk consistency check.  Useful after a
+// crash to see what recovery will do before letting an application attach.
 //
-//   build/tools/heap_inspect <heap-file> [--engine nl|log|lr]
+//   build/tools/heap_inspect <heap-file> [--no-recover]
 //
-// NOTE: attaching runs recovery (by design: Algorithm 1 makes attach safe);
-// pass --no-recover to inspect the raw header without mapping the engine.
+// The variant is the one whose RomulusEngine::owns_heap accepts the file's
+// header page; a file no variant owns is refused (exit 2) and left as it is.
+// Attaching runs recovery (by design: Algorithm 1 makes attach safe); pass
+// --no-recover to print the header without mapping the engine.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -24,23 +25,6 @@ using namespace romulus;
 
 namespace {
 
-// Raw header mirror (matches RomulusEngine<...>::PHeader's layout v2:
-// geometry in the first cache line, one ShardHeader cache line per shard
-// starting at byte 64).
-struct RawHeader {
-    uint64_t magic;
-    uint32_t shard_count;
-    uint64_t main_size;
-    uint64_t region_size;
-};
-struct RawShardHeader {
-    uint32_t state;
-    uint64_t used_size;
-};
-constexpr size_t kShardHeaderOffset = 64;
-constexpr size_t kShardHeaderStride = 64;
-constexpr unsigned kSaneShardCap = 32;  // mirrors romulus::kMaxShards
-
 const char* state_name(uint32_t s) {
     switch (s) {
         case 0: return "IDL (both copies consistent)";
@@ -52,81 +36,50 @@ const char* state_name(uint32_t s) {
     return "CORRUPT";
 }
 
-/// Decode one shard header out of the raw header page.
-RawShardHeader read_shard_header(const uint8_t* page, unsigned s) {
-    RawShardHeader sh{};
-    const uint8_t* at = page + kShardHeaderOffset + s * kShardHeaderStride;
-    std::memcpy(&sh.state, at + 0, 4);
-    std::memcpy(&sh.used_size, at + 8, 8);
-    return sh;
+template <typename E>
+const typename E::PHeader& header_of(const uint8_t* page) {
+    return *static_cast<const typename E::PHeader*>(
+        static_cast<const void*>(page));
 }
 
-int inspect_raw(const std::string& path) {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-    }
-    RawHeader h{};
-    // The on-disk header page: magic / shard_count / main_size / region_size
-    // in the first cache line, then one 64 B ShardHeader per shard.
-    uint8_t page[4096];
-    if (::read(fd, page, sizeof page) != static_cast<ssize_t>(sizeof page)) {
-        std::fprintf(stderr, "short read\n");
-        ::close(fd);
-        return 1;
-    }
-    ::close(fd);
-    std::memcpy(&h.magic, page + 0, 8);
-    std::memcpy(&h.shard_count, page + 8, 4);
-    std::memcpy(&h.main_size, page + 16, 8);
-    std::memcpy(&h.region_size, page + 24, 8);
+template <typename E>
+const typename E::ShardHeader& shard_header_of(const uint8_t* page,
+                                               unsigned s) {
+    return static_cast<const typename E::ShardHeader*>(
+        static_cast<const void*>(page + E::kShardHeaderOffset))[s];
+}
 
+template <typename E>
+int inspect_raw(const std::string& path, const uint8_t* page) {
+    const auto& h = header_of<E>(page);
     std::printf("raw header of %s:\n", path.c_str());
-    std::printf("  magic       : 0x%016llx\n", (unsigned long long)h.magic);
+    std::printf("  engine      : %s\n", E::name());
+    std::printf("  magic       : 0x%016llx\n",
+                (unsigned long long)h.magic.load());
     std::printf("  shards      : %u\n", h.shard_count);
     std::printf("  main size   : %llu (per shard)\n",
                 (unsigned long long)h.main_size);
     std::printf("  region size : %llu\n", (unsigned long long)h.region_size);
-    const unsigned n =
-        h.shard_count >= 1 && h.shard_count <= kSaneShardCap ? h.shard_count : 0;
-    if (n == 0) std::printf("  (shard count implausible: header corrupt?)\n");
-    for (unsigned s = 0; s < n; ++s) {
-        RawShardHeader sh = read_shard_header(page, s);
+    for (unsigned s = 0; s < h.shard_count; ++s) {
+        const auto& sh = shard_header_of<E>(page, s);
+        const uint32_t state = sh.state.load();
+        const uint64_t used = sh.used_size.load();
         std::printf("  shard %-2u    : state %u — %s; used %llu (%.2f MB)\n", s,
-                    sh.state, state_name(sh.state),
-                    (unsigned long long)sh.used_size,
-                    double(sh.used_size) / (1 << 20));
+                    state, state_name(state), (unsigned long long)used,
+                    double(used) / (1 << 20));
     }
     return 0;
 }
 
 template <typename E>
-int inspect_engine(const std::string& path) {
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-        std::fprintf(stderr, "cannot stat %s\n", path.c_str());
-        return 1;
-    }
+int inspect_engine(const std::string& path, const uint8_t* page) {
     // Worst pre-attach disposition across shards (any non-IDL shard means
     // attach will run a recovery roll for it).
-    const uint32_t pre_state = [&] {
-        uint32_t worst = 0;
-        int fd = ::open(path.c_str(), O_RDONLY);
-        uint8_t page[4096];
-        if (fd >= 0 && ::read(fd, page, sizeof page) ==
-                           static_cast<ssize_t>(sizeof page)) {
-            uint32_t nshards = 0;
-            std::memcpy(&nshards, page + 8, 4);
-            if (nshards < 1 || nshards > kSaneShardCap) nshards = 1;
-            for (unsigned s = 0; s < nshards; ++s)
-                worst = std::max(worst, read_shard_header(page, s).state);
-        }
-        if (fd >= 0) ::close(fd);
-        return worst;
-    }();
+    uint32_t pre_state = 0;
+    for (unsigned s = 0; s < header_of<E>(page).shard_count; ++s)
+        pre_state = std::max(pre_state, shard_header_of<E>(page, s).state.load());
 
-    E::init(static_cast<size_t>(st.st_size), path);
+    E::init(0, path);
     std::printf("engine      : %s\n", E::name());
     std::printf("shards      : %u\n", E::shard_count());
     std::printf("pre-attach  : worst shard %s\n", state_name(pre_state));
@@ -169,26 +122,42 @@ int inspect_engine(const std::string& path) {
     return all_consistent ? 0 : 2;
 }
 
+template <typename E>
+int inspect(const std::string& path, const uint8_t* page, bool raw) {
+    return raw ? inspect_raw<E>(path, page) : inspect_engine<E>(path, page);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: heap_inspect <heap-file> [--engine nl|log|lr] "
-                     "[--no-recover]\n");
+    const bool raw = argc == 3 && std::strcmp(argv[2], "--no-recover") == 0;
+    if (argc < 2 || argc > 3 || (argc == 3 && !raw)) {
+        std::fprintf(stderr, "usage: heap_inspect <heap-file> [--no-recover]\n");
         return 2;
     }
     const std::string path = argv[1];
-    std::string engine = "log";
-    bool raw = false;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-            engine = argv[++i];
-        else if (std::strcmp(argv[i], "--no-recover") == 0)
-            raw = true;
+
+    // The header page and the file size, read once: they decide the variant.
+    alignas(64) uint8_t page[RomulusLog::kHeaderReserved] = {};
+    struct stat st{};
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    const bool read_ok = fd >= 0 && ::fstat(fd, &st) == 0 &&
+                         ::read(fd, page, sizeof page) >= 0;
+    if (fd >= 0) ::close(fd);
+    if (!read_ok) {
+        std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        return 1;
     }
-    if (raw) return inspect_raw(path);
-    if (engine == "nl") return inspect_engine<RomulusNL>(path);
-    if (engine == "lr") return inspect_engine<RomulusLR>(path);
-    return inspect_engine<RomulusLog>(path);
+    const size_t size = static_cast<size_t>(st.st_size);
+    if (RomulusNL::owns_heap(page, size)) return inspect<RomulusNL>(path, page, raw);
+    if (RomulusLog::owns_heap(page, size)) return inspect<RomulusLog>(path, page, raw);
+    if (RomulusLR::owns_heap(page, size)) return inspect<RomulusLR>(path, page, raw);
+
+    uint64_t magic;
+    std::memcpy(&magic, page, sizeof magic);
+    std::fprintf(stderr,
+                 "heap_inspect: %s is not a Romulus heap (magic 0x%016llx, "
+                 "%zu bytes)\n",
+                 path.c_str(), (unsigned long long)magic, size);
+    return 2;
 }
