@@ -8,9 +8,13 @@
 //                (the default configuration).
 //
 // Reported per footprint and mode: pwbs/tx, commit latency, merged runs/tx
-// and the NT vs cached replica-byte split.  A second section microbenchmarks
+// and the NT vs cached replica-byte split, under CLWB (degrading to
+// CLFLUSHOPT/CLFLUSH on older CPUs).  A second section microbenchmarks
 // pmem::persist_copy() directly (cached vs streaming) at copy sizes from one
-// page to several MB — the full-copy/recovery path of RomulusNL.
+// page to several MB — the full-copy/recovery path of RomulusNL.  A third
+// repeats the transaction sweep under CLFLUSH, the profile RomulusDB runs
+// under: there coalesce+nt writes back and replicates every logged line as
+// an NT line image (pmem::persist_lines), coalesce pays a CLFLUSH per line.
 //
 // Set ROMULUS_BENCH_JSON=<file> to also emit the numbers as JSON (CI smoke
 // run uploads this as an artifact).
@@ -104,7 +108,9 @@ TxResult measure_tx(size_t footprint, const Mode& mode) {
 }
 
 void tx_sweep(std::vector<TxResult>& out) {
-    std::printf("\n-- RomulusLog sequential-write tx: pwbs + latency by pipeline --\n");
+    std::printf("\n-- RomulusLog sequential-write tx: pwbs + latency by "
+                "pipeline (%s) --\n",
+                pmem::profile_name(pmem::effective_profile()));
     std::printf("  %-9s %-12s %12s %12s %9s %8s\n", "footprint", "mode",
                 "pwbs/tx", "ns/tx", "runs/tx", "nt%");
     for (size_t footprint : {256u, 1024u, 8192u, 65536u}) {
@@ -155,19 +161,24 @@ void copy_sweep(std::vector<CopyResult>& out) {
 }
 
 void write_json(const std::vector<TxResult>& tx,
+                const std::vector<TxResult>& tx_clflush,
                 const std::vector<CopyResult>& copy) {
     auto json = JsonEmitter::from_env("commit_path");
     json.scalar("profile", pmem::profile_name(pmem::effective_profile()));
-    json.begin_array("tx_sweep");
-    for (const auto& r : tx) {
-        json.record(JsonEmitter::fields(
-            {JsonEmitter::num("footprint", uint64_t{r.footprint}),
-             JsonEmitter::str("mode", r.mode),
-             JsonEmitter::num("pwbs_per_tx", r.pwbs_per_tx, "%.2f"),
-             JsonEmitter::num("ns_per_tx", r.ns_per_tx, "%.0f"),
-             JsonEmitter::num("runs_per_tx", r.runs_per_tx, "%.2f"),
-             JsonEmitter::num("nt_frac", r.nt_frac, "%.3f")}));
-    }
+    auto sweep = [&](const char* name, const std::vector<TxResult>& rs) {
+        json.begin_array(name);
+        for (const auto& r : rs) {
+            json.record(JsonEmitter::fields(
+                {JsonEmitter::num("footprint", uint64_t{r.footprint}),
+                 JsonEmitter::str("mode", r.mode),
+                 JsonEmitter::num("pwbs_per_tx", r.pwbs_per_tx, "%.2f"),
+                 JsonEmitter::num("ns_per_tx", r.ns_per_tx, "%.0f"),
+                 JsonEmitter::num("runs_per_tx", r.runs_per_tx, "%.2f"),
+                 JsonEmitter::num("nt_frac", r.nt_frac, "%.3f")}));
+        }
+    };
+    sweep("tx_sweep", tx);
+    sweep("tx_sweep_clflush", tx_clflush);
     json.begin_array("persist_copy");
     for (const auto& r : copy) {
         json.record(JsonEmitter::fields(
@@ -194,6 +205,11 @@ int main() {
     tx_sweep(tx);
     copy_sweep(copy);
 
-    write_json(tx, copy);
+    std::vector<TxResult> tx_clflush;
+    pmem::set_profile(pmem::Profile::CLFLUSH);
+    tx_sweep(tx_clflush);
+    pmem::set_profile(pmem::Profile::CLWB);  // the header's profile
+
+    write_json(tx, tx_clflush, copy);
     return 0;
 }

@@ -56,6 +56,15 @@ SCHEMAS = {
                 "ns_per_tx": ("throughput", "lower"),
             },
         },
+        # The same sweep under CLFLUSH, RomulusDB's profile.
+        "tx_sweep_clflush": {
+            "key": ("footprint", "mode"),
+            "metrics": {
+                "pwbs_per_tx": ("counter", "lower"),
+                "runs_per_tx": ("counter", "lower"),
+                "ns_per_tx": ("throughput", "lower"),
+            },
+        },
         "persist_copy": {
             "key": ("bytes", "path"),
             "metrics": {"gib_s": ("throughput", "higher")},

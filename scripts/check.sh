@@ -14,9 +14,11 @@
 #             (including the seeded protocol-mutation fixtures), then the
 #             romver CLI end to end: clean runs over all five engines at
 #             the default 8 KB transaction and at 64 B (which RomulusNL/Log
-#             commit through the stripe fast path's group apply), both
-#             mutations under --expect-violations, and elide-fence on the
-#             64 B group apply; reports land in
+#             commit through the stripe fast path's group apply), each in
+#             the NT line-image order and again in the cached order
+#             (ROMULUS_NT_THRESHOLD=SIZE_MAX), the three mutations under
+#             --expect-violations, and elide-fence and elide-nt-drain on
+#             the 64 B group apply; reports land in
 #             build/check/persistgraph/romver-reports/.  Also runs romfuzz
 #             with the planted protocol mutations, which must produce a
 #             replayable repro bundle.
@@ -116,12 +118,28 @@ run_leg() {
             --report "$reports/clean.txt"
         "$dir/tools/romver" --engine all --tx-bytes 64 --budget 2048 \
             --report "$reports/clean-64.txt"
+        # The same clean passes in the cached order: with nt_threshold =
+        # SIZE_MAX no commit streams line images, so every line is a cached
+        # store + pwb ordered by the pfences.
+        ROMULUS_NT_THRESHOLD=18446744073709551615 \
+            "$dir/tools/romver" --engine all --budget 2048 \
+            --report "$reports/clean-cached.txt"
+        ROMULUS_NT_THRESHOLD=18446744073709551615 \
+            "$dir/tools/romver" --engine all --tx-bytes 64 --budget 2048 \
+            --report "$reports/clean-cached-64.txt"
         "$dir/tools/romver" --mutate elide-fence --expect-violations \
             --report "$reports/mutate-elide-fence.txt"
         "$dir/tools/romver" --mutate reorder-state --expect-violations \
             --report "$reports/mutate-reorder-state.txt"
         "$dir/tools/romver" --engine log --tx-bytes 64 --mutate elide-fence \
             --expect-violations --report "$reports/mutate-elide-fence-64.txt"
+        # An elided NT drain on both commit paths: the slow path at 8 KB
+        # and the fast path's group apply at 64 B (RomulusLR, which has no
+        # fast path, commits 64 B on the slow path too).
+        "$dir/tools/romver" --mutate elide-nt-drain --expect-violations \
+            --report "$reports/mutate-elide-nt-drain.txt"
+        "$dir/tools/romver" --tx-bytes 64 --mutate elide-nt-drain \
+            --expect-violations --report "$reports/mutate-elide-nt-drain-64.txt"
         # The fuzzer must catch the planted protocol bugs too, and emit a
         # replayable repro bundle for each (exit 1 if no violation found).
         "$dir/tools/romfuzz" --engine log --shards 2 --iters 12 --seed 1 \

@@ -21,6 +21,8 @@ const char* persist_event_kind_name(PersistEventKind k) {
         case PersistEventKind::TxCommit: return "tx-commit";
         case PersistEventKind::TxAbort: return "tx-abort";
         case PersistEventKind::RangeLogged: return "range-logged";
+        case PersistEventKind::NtStore: return "nt-store";
+        case PersistEventKind::NtDrain: return "nt-drain";
     }
     return "?";
 }
@@ -157,6 +159,30 @@ void PersistEventRecorder::on_range_logged(const void* addr, size_t len) {
     if (opts_.next) opts_.next->on_range_logged(addr, len);
 }
 
+void PersistEventRecorder::on_nt_store(const void* addr, size_t len) {
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (in_region(addr)) {
+            PersistEvent e;
+            e.kind = PersistEventKind::NtStore;
+            e.off = uint64_t(static_cast<const uint8_t*>(addr) - base_);
+            e.len = uint32_t(len);
+            append(e);
+        }
+    }
+    if (opts_.next) opts_.next->on_nt_store(addr, len);
+}
+
+void PersistEventRecorder::on_nt_drain() {
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        PersistEvent e;
+        e.kind = PersistEventKind::NtDrain;
+        append(e);
+    }
+    if (opts_.next) opts_.next->on_nt_drain();
+}
+
 // ---------------------------------------------------------------------------
 // EngineLayout
 // ---------------------------------------------------------------------------
@@ -231,6 +257,8 @@ const char* protocol_violation_kind_name(ProtocolViolation::Kind k) {
             return "unflushed-line";
         case ProtocolViolation::Kind::UnorderedStatePersist:
             return "unordered-state-persist";
+        case ProtocolViolation::Kind::UndrainedNtLine:
+            return "undrained-nt-line";
     }
     return "?";
 }
@@ -278,6 +306,8 @@ GraphAnalysis analyze_protocol(const PersistEventRecorder& rec,
     int last_state_store_shard = -1;
     std::vector<uint32_t> pending_state(layout.shards.size(), 0);
     uint32_t window = 0;
+    // Lines written with NT stores since the last drain, in stream order.
+    std::vector<uint64_t> undrained_nt;
 
     for (size_t ei = 0; ei < events.size(); ++ei) {
         const PersistEvent& e = events[ei];
@@ -305,6 +335,14 @@ GraphAnalysis analyze_protocol(const PersistEventRecorder& rec,
                 if (last_state_store_shard >= 0)
                     pending_state[size_t(last_state_store_shard)] = e.state;
                 break;
+            case PersistEventKind::NtStore:
+                for (uint64_t ln = e.off / kLine;
+                     ln < (e.off + e.len + kLine - 1) / kLine; ++ln)
+                    undrained_nt.push_back(ln);
+                break;
+            case PersistEventKind::NtDrain:
+                undrained_nt.clear();
+                break;
             case PersistEventKind::Pwb: {
                 ++out.pwbs;
                 LineTrack& t = lines[e.off / kLine];
@@ -321,6 +359,26 @@ GraphAnalysis analyze_protocol(const PersistEventRecorder& rec,
                 // checked.
                 ++out.state_persists;
                 uint32_t st = pending_state[size_t(ss)];
+                // Any state persist, MUT included: a pfence orders no NT
+                // store under CLFLUSH, only a drain does.
+                for (uint64_t ln : undrained_nt) {
+                    ProtocolViolation v;
+                    v.kind = ProtocolViolation::Kind::UndrainedNtLine;
+                    v.line_off = ln * kLine;
+                    v.shard = uint32_t(ss);
+                    v.state_value = st;
+                    v.state_window = window;
+                    v.line_window = ProtocolViolation::kNoWindow;
+                    std::ostringstream os;
+                    os << "shard " << ss << ": line 0x" << std::hex
+                       << v.line_off << std::dec
+                       << " written with NT stores is not drained before the "
+                       << state_name(st) << " state persist (fence window "
+                       << window << ")";
+                    v.detail = os.str();
+                    out.violations.push_back(std::move(v));
+                }
+                undrained_nt.clear();  // reported once
                 auto& dirty = shard_dirty[size_t(ss)];
                 if (st != 1 /*MUT*/) {
                     for (const auto& [dl, store_idx] : dirty) {

@@ -27,15 +27,16 @@
 //   * analyze_protocol() — static rules checked directly on the graph:
 //     a line dirtied in MUT with no write-back ordered before the MUT→CPY
 //     state persist, a state-word persist not ordered after all body
-//     persists, and the redundant-flush perf diagnostic (a pwb of a line
-//     with no prior dirty store) fed into pmem::CommitStats.
+//     persists, a state-word persist issued while a line written with NT
+//     stores is undrained, and the redundant-flush perf diagnostic (a pwb
+//     of a line with no prior dirty store) fed into pmem::CommitStats.
 //
 // The recorder rides the existing SimHooks plumbing, so recording costs
 // nothing unless hooks are installed.  -DROMULUS_PERSISTGRAPH additionally
 // arms the seeded protocol-mutation hooks in the engines (elided commit
-// fence, reordered state persist) that the `persistgraph` CI leg uses to
-// prove these rules still detect what they claim to; without the flag the
-// mutation branches compile away entirely.
+// fence, reordered state persist, elided NT drain) that the `persistgraph`
+// CI leg uses to prove these rules still detect what they claim to; without
+// the flag the mutation branches compile away entirely.
 #pragma once
 
 #include <cstddef>
@@ -62,13 +63,15 @@ enum class PersistEventKind : uint8_t {
     TxCommit,
     TxAbort,
     RangeLogged,      ///< [off, off+len) is covered by the engine's log
+    NtStore,          ///< [off, off+len) was written with NT stores
+    NtDrain,          ///< this thread's NT stores were drained (sfence)
 };
 
 const char* persist_event_kind_name(PersistEventKind k);
 
 struct PersistEvent {
     PersistEventKind kind;
-    uint32_t len = 0;      ///< Store/RangeLogged only
+    uint32_t len = 0;      ///< Store/RangeLogged/NtStore only
     uint32_t state = 0;    ///< StateTransition only
     uint64_t off = 0;      ///< region-relative byte offset (exact, not line)
     uint64_t content = 0;  ///< Pwb only: offset into the recorder's line pool
@@ -102,6 +105,8 @@ class PersistEventRecorder final : public pmem::SimHooks {
     void on_tx_abort() override;
     void on_state_transition(uint32_t new_state) override;
     void on_range_logged(const void* addr, size_t len) override;
+    void on_nt_store(const void* addr, size_t len) override;
+    void on_nt_drain() override;
 
     const std::vector<PersistEvent>& events() const { return events_; }
     /// Region snapshot taken at construction (durable-at-attach assumption).
@@ -269,6 +274,11 @@ struct ProtocolViolation {
         /// fence window: no pfence orders it before the state word, so the
         /// state may become durable first (the missing/elided-fence bug).
         UnorderedStatePersist,
+        /// The line was written with NT stores and not drained before the
+        /// state persist: a pfence does not order NT stores under CLFLUSH
+        /// (its fences are nops), so the state word may become durable
+        /// while the line is still in a write-combining buffer.
+        UndrainedNtLine,
     };
     Kind kind;
     uint64_t line_off;          ///< first byte of the offending line
@@ -323,6 +333,10 @@ struct ProtocolMutations {
     /// Issue the CPY state store + pwb BEFORE the body write-backs: the
     /// state persist is unordered with (program-order ahead of) the data.
     bool reorder_state_persist = false;
+    /// Skip the drain that ends each commit phase of NT line images
+    /// (RomulusEngine::drain_line_images, both commit paths): under CLFLUSH
+    /// the CPY and IDL state stores may persist before those lines.
+    bool elide_nt_drain = false;
 };
 
 ProtocolMutations& protocol_mutations();

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <type_traits>
 
+#include "pmem/region.hpp"
+
 namespace romulus {
 
 ReadConfig& read_config() {
@@ -98,12 +100,22 @@ size_t default_heap_bytes() {
 }
 
 size_t heap_bytes_for(size_t heap_bytes, const std::string& path) {
+    constexpr size_t kPage = 4096;
     size_t size = heap_bytes;
     struct ::stat st{};
-    if (size == 0 && ::stat(path.c_str(), &st) == 0)
+    if (size == 0 && ::stat(path.c_str(), &st) == 0 && st.st_size != 0) {
         size = static_cast<size_t>(st.st_size);
+        // Every heap is whole pages: a header page and at least one shard.
+        if (size % kPage != 0 ||
+            size < pmem::ShardLayout::min_region_size(kPage))
+            throw NotAHeapError("heap file " + path + " is " +
+                                std::to_string(size) +
+                                " bytes: not a whole number of pages of "
+                                "at least one shard's size");
+        return size;
+    }
     if (size == 0) size = default_heap_bytes();
-    return (size + 4095) & ~size_t{4095};
+    return (size + kPage - 1) & ~(kPage - 1);
 }
 
 unsigned default_shard_count() {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "pmem/flush.hpp"
@@ -12,9 +13,17 @@ namespace romulus {
 /// Default persistent heap size: ROMULUS_HEAP_MB env var (in MiB) or 64 MiB.
 size_t default_heap_bytes();
 
+/// What init(0, path) throws for an existing file that cannot be a heap.
+struct NotAHeapError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
 /// The size every engine's init() maps, rounded up to whole pages:
 /// `heap_bytes`; with 0, the size of an existing non-empty file at `path`
-/// (a reopen maps a heap at its own size), else default_heap_bytes().
+/// (a reopen maps a heap at its own size), else default_heap_bytes().  An
+/// existing file whose size is not a whole number of pages, or too small
+/// for a header page and one shard, is refused with NotAHeapError before
+/// anything maps (and so resizes) it.
 size_t heap_bytes_for(size_t heap_bytes, const std::string& path);
 
 /// Size of every PTM's root-object ("objects array", §4.3) table, per shard.

@@ -717,7 +717,7 @@ class RomulusEngine {
             if (st == MUT) {
                 copy_back_to_main(sh);
             } else if (st == CPY) {
-                copy_main_to_back(sh);
+                copy_range_to_back(sh, 0, sh.hdr->used_size.load());
             } else if (st != IDL) {
                 throw std::runtime_error("RomulusEngine: corrupted state field");
             }
@@ -868,6 +868,21 @@ class RomulusEngine {
         return static_cast<size_t>(sh.hdr->used_size.load() / 2);
     }
 
+#ifdef ROMULUS_PERSISTGRAPH
+    static const analysis::ProtocolMutations& mutations() {
+        return analysis::protocol_mutations();
+    }
+#else
+    /// romver's seeded protocol bugs (analysis/persist_graph.hpp), all off
+    /// in a build without them: every mutation branch folds away.
+    struct NoMutations {
+        bool elide_commit_fence = false;
+        bool reorder_state_persist = false;
+        bool elide_nt_drain = false;
+    };
+    static constexpr NoMutations mutations() { return {}; }
+#endif
+
     // --- Algorithm 1's state transitions -----------------------------------
     //
     // begin/end/abort_transaction, recover() and the fast path's group apply
@@ -906,15 +921,7 @@ class RomulusEngine {
     /// writer occupancy, which pessimistic readers wait out (§4.9).
     template <typename WriteBack>
     static void commit_cpy(Shard& sh, WriteBack&& write_back) {
-#ifdef ROMULUS_PERSISTGRAPH
-        const analysis::ProtocolMutations& pgm =
-            analysis::protocol_mutations();
-#else
-        struct {
-            bool elide_commit_fence = false;
-            bool reorder_state_persist = false;
-        } constexpr pgm{};  // folds every mutation branch away
-#endif
+        const auto& pgm = mutations();
         if (pgm.reorder_state_persist) {
             // Seeded protocol bug: persist the CPY state word BEFORE the
             // body write-back — the state persist is unordered with the
@@ -939,6 +946,15 @@ class RomulusEngine {
             ROMULUS_RACE_RELEASE(&sh.seq, "seqlock.write_exit");
             sh.seq.write_exit();
         }
+    }
+
+    /// End a commit phase whose lines went out as NT line images
+    /// (pmem::persist_lines): drain them before the phase's state store.
+    /// Under CLFLUSH the pfence ahead of that store is a nop and orders
+    /// none of them.
+    static void drain_line_images() {
+        if (pmem::streams_line_images() && !mutations().elide_nt_drain)
+            pmem::nt_drain();
     }
 
     /// -> IDL: a pfence orders the replication to back (or, on rollback and
@@ -1005,23 +1021,36 @@ class RomulusEngine {
         pmem::pwb(&sh.hdr->used_size);
     }
 
+    /// RomulusLog/LR's MUT -> CPY body write-back: every logged main line,
+    /// or all of used in full-copy mode, through persist_lines in place,
+    /// one call per coalesced run (shared with copy_main_to_back()), then
+    /// one drain.  Copy-only (streamed) lines are replicated but never
+    /// written back.
     static void flush_logged_main_lines(Shard& sh) {
         if (sh.log.full_copy()) {
-            pmem::pwb_range(sh.main, sh.hdr->used_size.load());
-            return;
+            // Full-copy mode logs, writes back and replicates all of used.
+            const uint64_t used = sh.hdr->used_size.load();
+            pmem::notify_range_logged(sh.main, used);
+            pmem::persist_lines(sh.main, sh.main, used);
+            // An NT re-store writes every line of used to the media, where
+            // a CLFLUSH of a clean line writes nothing.
+            if (pmem::streams_line_images())
+                pmem::tl_stats().nvm_bytes +=
+                    (used + pmem::kCacheLineSize - 1) / pmem::kCacheLineSize *
+                    pmem::kCacheLineSize;
+        } else {
+            auto& cs = pmem::tl_commit_stats();
+            cs.commits++;
+            cs.runs += sh.log.copy_runs().size();
+            cs.lines_logged += sh.log.logged_bytes() / pmem::kCacheLineSize;
+            for (const auto& r : sh.log.merged_runs())
+                pmem::persist_lines(sh.main + r.off, sh.main + r.off, r.len);
         }
-        // One sorted/coalesced pass, shared with copy_main_to_back(): each
-        // maximal run costs one ranged flush instead of one dispatched pwb
-        // per 64 B entry.  Copy-only (streamed) lines are replicated but
-        // never flushed.
-        auto& cs = pmem::tl_commit_stats();
-        cs.commits++;
-        cs.runs += sh.log.copy_runs().size();
-        cs.lines_logged += sh.log.logged_bytes() / pmem::kCacheLineSize;
-        for (const auto& r : sh.log.merged_runs())
-            pmem::pwb_range(sh.main + r.off, r.len);
+        drain_line_images();
     }
 
+    /// Format and recovery: replicate [off, off+len) of main, clamped to
+    /// used, with persist_copy (which drains its own streamed lines).
     static void copy_range_to_back(Shard& sh, uint64_t off, size_t len) {
         const uint64_t used = sh.hdr->used_size.load();
         if (off >= used) return;
@@ -1029,15 +1058,26 @@ class RomulusEngine {
         pmem::persist_copy(sh.back + off, sh.main + off, len);
     }
 
+    /// The commit's CPY -> back replication (§4.7): RomulusLog/LR's copy
+    /// runs, or all of used (RomulusNL, full-copy mode), each clamped to
+    /// used and written through persist_lines (as line images, rounded up
+    /// to whole lines: bytes past used were never written in either half),
+    /// then one drain.
     static void copy_main_to_back(Shard& sh) {
-        if constexpr (Traits::kUseLog) {
-            if (tl.tx_depth > 0 && !sh.log.full_copy()) {
-                for (const auto& r : sh.log.copy_runs())
-                    copy_range_to_back(sh, r.off, r.len);
-                return;
-            }
+        const uint64_t used = sh.hdr->used_size.load();
+        auto copy = [&](uint64_t off, uint64_t len) {
+            if (off < used)
+                pmem::persist_lines(sh.back + off, sh.main + off,
+                                    std::min(len, used - off));
+        };
+        bool logged = false;
+        if constexpr (Traits::kUseLog) logged = !sh.log.full_copy();
+        if (logged) {
+            for (const auto& r : sh.log.copy_runs()) copy(r.off, r.len);
+        } else {
+            copy(0, used);
         }
-        copy_range_to_back(sh, 0, sh.hdr->used_size.load());
+        drain_line_images();
     }
 
     static void copy_back_to_main(Shard& sh) {

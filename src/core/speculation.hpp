@@ -89,6 +89,10 @@ class SpecBuffer {
         region_ = region;
         region_size_ = region_size;
         rv_ = stripes.clock_now();
+        if (++gen_ == 0) {  // wrapped: no stamp may survive from 2^32 ago
+            std::fill_n(read_gen_, Stripes::kStripes, 0u);
+            gen_ = 1;
+        }
         nw = nr_ = nlocked_ = 0;
         aborted = dropped = sandbox_used_ = false;
         dtor_depth_ = 0;
@@ -360,13 +364,15 @@ class SpecBuffer {
                                             "stripe.validate");
     }
 
-    /// Dedup by stripe: a recorded version <= rv can only change via a
-    /// commit that publishes a version > rv, which the per-load validation
-    /// rejects, so a re-observed stripe always matches.
+    /// Dedup by stripe, in O(1): a stripe is in the read set when its
+    /// stamp is this speculation's generation.  A recorded version <= rv
+    /// can only change via a commit that publishes a version > rv, which
+    /// the per-load validation rejects, so a re-observed stripe always
+    /// matches.
     bool record_read(const Observed& obs) {
-        for (unsigned i = 0; i < nr_; ++i)
-            if (rset_[i].stripe == obs.stripe) return true;
+        if (read_gen_[obs.stripe] == gen_) return true;
         if (nr_ == kReadCap) return false;
+        read_gen_[obs.stripe] = gen_;
         rset_[nr_++] = obs;
         return true;
     }
@@ -399,6 +405,9 @@ class SpecBuffer {
     int uncaught_ = 0;         ///< std::uncaught_exceptions() at begin
     bool sandbox_used_ = false;
     Observed rset_[kReadCap] = {};
+    uint32_t gen_ = 0;  ///< this speculation's generation (begin bumps it)
+    /// Per stripe, the generation whose read set holds it.
+    uint32_t read_gen_[Stripes::kStripes] = {};
     unsigned locked_[kWriteCap] = {};  ///< stripes held from lock to unlock
     Stripes::Word pre_[kWriteCap] = {};  ///< their pre-acquire words
     alignas(kLineSize) uint8_t sandbox_[kSandboxBytes] = {};
@@ -516,11 +525,10 @@ class FastPath {
             sets[n++] = b;
         });
         if (n == 0) return;  // ours went out with the previous applier's batch
-        // Under a profile whose pwb evicts the line, every line goes to main
-        // and then to back straight from its buffered image with NT stores
-        // (no RFO, no flush, no re-read of main), drained before the CPY and
-        // IDL state stores; otherwise a cached store + pwb per line.
-        const bool nt = pmem::streams_line_images();
+        // Every line goes to main and then to back straight from its
+        // buffered image (pmem::persist_lines: NT stores under a profile
+        // whose pwb evicts the line, else a cached store + pwb), each phase
+        // drained before its state store.
         Engine::enter_mut(sh);
         for (int k = 0; k < n; ++k) {
             for (unsigned i = 0; i < sets[k]->nw; ++i) {
@@ -529,21 +537,12 @@ class FastPath {
                 // The write set is the transaction's log: each line is
                 // written back and replicated below (checker require_log).
                 pmem::notify_range_logged(dst, pmem::kCacheLineSize);
-                if (nt) {
-                    pmem::nt_store_line(dst, wl.data);
-                } else {
-                    std::memcpy(dst, wl.data, pmem::kCacheLineSize);
-                    pmem::on_store(dst, pmem::kCacheLineSize);
-                    pmem::pwb(dst);
-                }
+                pmem::persist_lines(dst, wl.data, pmem::kCacheLineSize);
                 ROMULUS_RACE_WRITE(dst, pmem::kCacheLineSize);
             }
         }
-        // A cached apply wrote each line back as it went; the body
-        // write-back left for the CPY step is the drain of the NT images.
         Engine::commit_cpy(sh, [&] {
-            if (!nt) return;
-            pmem::nt_drain();
+            Engine::drain_line_images();
             // An NT store leaves no cached copy, so the next get of a hot
             // record, or the capture of its next update, would miss to
             // memory: fetch the new lines back without waiting for them.
@@ -551,25 +550,12 @@ class FastPath {
                 for (unsigned i = 0; i < sets[k]->nw; ++i)
                     __builtin_prefetch(sh.main + sets[k]->wlines[i].line_off);
         });
-        for (int k = 0; k < n; ++k) {
-            const SpecBuffer& b = *sets[k];
-            for (unsigned i = 0; i < b.nw;) {
-                const uint64_t off = b.wlines[i].line_off;
-                unsigned j = i + 1;
-                if (nt) {
-                    pmem::nt_store_line(sh.back + off, b.wlines[i].data);
-                } else {
-                    // Adjacent lines replicate as one run, RangeLog-style.
-                    while (j < b.nw && b.wlines[j].line_off ==
-                                           off + (j - i) * pmem::kCacheLineSize)
-                        ++j;
-                    Engine::copy_range_to_back(sh, off,
-                                               (j - i) * pmem::kCacheLineSize);
-                }
-                i = j;
-            }
-        }
-        if (nt) pmem::nt_drain();
+        for (int k = 0; k < n; ++k)
+            for (unsigned i = 0; i < sets[k]->nw; ++i)
+                pmem::persist_lines(sh.back + sets[k]->wlines[i].line_off,
+                                    sets[k]->wlines[i].data,
+                                    pmem::kCacheLineSize);
+        Engine::drain_line_images();
         Engine::finish_idl(sh);
         pmem::notify_tx_commit();
         for (int k = 0; k < n; ++k) sh.spec.slots.mark_done(slots[k]);

@@ -163,6 +163,15 @@ class PersistencyChecker final : public SimHooks {
     void on_tx_abort() override;
     void on_state_transition(uint32_t new_state) override;
     void on_range_logged(const void* addr, size_t len) override;
+    /// Forwarded to Options::next only: the checker keeps a streamed line
+    /// PendingWB until the engine's own fence (docs/checker.md), and the
+    /// drain rule is romver's (analysis/persist_graph.hpp).
+    void on_nt_store(const void* addr, size_t len) override {
+        if (opts_.next) opts_.next->on_nt_store(addr, len);
+    }
+    void on_nt_drain() override {
+        if (opts_.next) opts_.next->on_nt_drain();
+    }
 
     // --- results -----------------------------------------------------------
 

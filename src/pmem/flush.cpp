@@ -274,12 +274,15 @@ void persist_copy(void* dst, const void* src, size_t len) {
     if (detail::g_sim_hooks) {
         // An NT store is externally a store whose line leaves for memory at
         // once: report store + per-line pwb so the shadow models see the
-        // streamed content as pending until the engine's next fence.
+        // streamed content as pending until the engine's next fence, then
+        // the NT mark and the drain.
         detail::g_sim_hooks->on_store(d, len);
         auto p = reinterpret_cast<uintptr_t>(d) & ~(kCacheLineSize - 1);
         const auto body_end = reinterpret_cast<uintptr_t>(d) + body;
         for (; p < body_end; p += kCacheLineSize)
             detail::g_sim_hooks->on_pwb(reinterpret_cast<const void*>(p));
+        detail::g_sim_hooks->on_nt_store(d, body);
+        detail::g_sim_hooks->on_nt_drain();
     }
     if (body < len) {
         // Sub-16-byte tail went through a cached store: its line needs a
@@ -290,19 +293,40 @@ void persist_copy(void* dst, const void* src, size_t len) {
 #endif
 }
 
-void nt_store_line(void* dst, const void* src) {
+void persist_lines(void* dst, const void* src, size_t len) {
+    if (len == 0) return;
+    if (!streams_line_images()) {
+        if (src == dst) {
+            pwb_range(dst, len);
+        } else {
+            persist_copy(dst, src, len);
+        }
+        return;
+    }
+    const size_t nlines = (len + kCacheLineSize - 1) / kCacheLineSize;
+    len = nlines * kCacheLineSize;
 #ifdef ROMULUS_X86
     auto* d = static_cast<__m128i*>(dst);
     const auto* s = static_cast<const __m128i*>(src);
-    for (int i = 0; i < 4; ++i) _mm_stream_si128(d + i, _mm_loadu_si128(s + i));
-#else
-    std::memcpy(dst, src, kCacheLineSize);
+    for (size_t i = 0; i < nlines; ++i, d += 4, s += 4) {
+        // Load the whole line before streaming it: in place, the first NT
+        // store evicts the line the rest is read from.
+        const __m128i a = _mm_loadu_si128(s), b = _mm_loadu_si128(s + 1),
+                      c = _mm_loadu_si128(s + 2), e = _mm_loadu_si128(s + 3);
+        _mm_stream_si128(d, a);
+        _mm_stream_si128(d + 1, b);
+        _mm_stream_si128(d + 2, c);
+        _mm_stream_si128(d + 3, e);
+    }
 #endif
-    tl_stats().nvm_bytes += kCacheLineSize;
-    tl_commit_stats().nt_bytes += kCacheLineSize;
-    if (detail::g_sim_hooks) {
-        detail::g_sim_hooks->on_store(dst, kCacheLineSize);
-        detail::g_sim_hooks->on_pwb(dst);
+    if (src != dst) tl_stats().nvm_bytes += len;
+    tl_commit_stats().nt_bytes += len;
+    if (detail::g_sim_hooks) {  // as persist_copy reports its stream
+        detail::g_sim_hooks->on_store(dst, len);
+        const auto* p = static_cast<const uint8_t*>(dst);
+        for (size_t i = 0; i < nlines; ++i, p += kCacheLineSize)
+            detail::g_sim_hooks->on_pwb(p);
+        detail::g_sim_hooks->on_nt_store(dst, len);
     }
 }
 
@@ -310,6 +334,7 @@ void nt_drain() {
 #ifdef ROMULUS_X86
     _mm_sfence();
 #endif
+    if (detail::g_sim_hooks) detail::g_sim_hooks->on_nt_drain();
 }
 
 }  // namespace romulus::pmem

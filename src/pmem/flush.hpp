@@ -85,6 +85,15 @@ class SimHooks {
     /// A store to [addr, addr+len) is covered by the engine's log (range log
     /// entry, undo entry, ...) and will be flushed/replayed by commit.
     virtual void on_range_logged(const void* /*addr*/, size_t /*len*/) {}
+
+    // Non-temporal stores.  Each streamed line is reported as a store + pwb
+    // (its externally visible effect), then marked here: it reaches the
+    // media at the next on_nt_drain(), which no pfence replaces under the
+    // CLFLUSH profile (its fences are nops).
+    /// The lines of [addr, addr+len) were just written with NT stores.
+    virtual void on_nt_store(const void* /*addr*/, size_t /*len*/) {}
+    /// This thread's outstanding NT stores were drained (sfence).
+    virtual void on_nt_drain() {}
 };
 
 void set_sim_hooks(SimHooks* hooks);
@@ -97,8 +106,10 @@ struct CommitConfig {
     /// Minimum length in bytes for a replication run — or for the whole
     /// lines inside a store_range payload — to take the non-temporal
     /// streaming path of persist_copy(); shorter runs (and SIZE_MAX) use
-    /// cached stores + per-line pwb.  NT stores bypass the cache, so tiny
-    /// hot runs are better left cacheable.
+    /// cached stores + per-line pwb.  NT stores bypass the cache, so under
+    /// CLWB tiny hot runs are better left cacheable.  Line images
+    /// (streams_line_images()) ignore the length; SIZE_MAX turns them off
+    /// too.
     size_t nt_threshold = 4 * kCacheLineSize;
 };
 CommitConfig& commit_config();
@@ -144,12 +155,14 @@ inline bool streams(size_t len) {
 #endif
 }
 
-/// The line-image selection (DESIGN.md §4.6): true when the stripe fast
-/// path's group apply writes each buffered 64 B line image to main and to
-/// back with one non-temporal store instead of a cached store + pwb.  That
-/// takes x86 and a profile whose pwb evicts the line anyway (CLFLUSH,
-/// CLFLUSHOPT), so the NT store saves the read-for-ownership and the flush
-/// and loses nothing.  CLWB keeps the written-back line cached for the next
+/// The line-image selection (DESIGN.md §4.6): true when persist_lines()
+/// writes each 64 B line with one non-temporal store instead of a cached
+/// store + pwb.  Both commit paths write back and replicate through it: the
+/// stripe fast path's group apply from its buffered images, the slow path's
+/// RomulusLog/LR write-back in place and its copy to back.  That takes x86
+/// and a profile whose pwb evicts the line anyway (CLFLUSH, CLFLUSHOPT), so
+/// the NT store saves the read-for-ownership and the serialized flush and
+/// loses nothing.  CLWB keeps the written-back line cached for the next
 /// access, NOP and the STT/PCM emulation never stream, and nt_threshold =
 /// SIZE_MAX turns this off together with every other streaming path.
 inline bool streams_line_images() {
@@ -188,8 +201,9 @@ inline void pwb_range(const void* addr, size_t len) {
 
 /// Streaming copy: copy [src, src+len) to dst and schedule it for
 /// persistence, equivalent to memcpy + on_store + pwb_range but using
-/// non-temporal stores for long runs (see streams()).  Back replication,
-/// recovery and the whole lines of large store_range payloads use it.  NT
+/// non-temporal stores for long runs (see streams()).  Format, recovery,
+/// the whole lines of large store_range payloads and, unless lines stream
+/// as line images, the commit's back replication (persist_lines) use it.  NT
 /// stores bypass the cache entirely, so the per-line pwb disappears; the WC
 /// buffers are drained by an sfence before returning (required: under the
 /// CLFLUSH profile the paper-model pfence is a nop and would not order the
@@ -200,25 +214,36 @@ inline void pwb_range(const void* addr, size_t len) {
 /// Crash-model soundness: the sim hooks observe each streamed line as a
 /// store immediately followed by a pwb of captured content — exactly the
 /// externally visible behaviour of an NT store — so SimPersistence and
-/// PersistencyChecker stay sound under both FlushContent modes (the internal
-/// sfence is deliberately NOT reported as a fence: the model then treats
+/// PersistencyChecker stay sound under both FlushContent modes.  The lines
+/// are marked with on_nt_store() and the internal sfence is reported as
+/// on_nt_drain(), deliberately NOT as a fence: the model then treats
 /// streamed lines as pending until the engine's own fence, which is strictly
-/// more conservative than the hardware).
+/// more conservative than the hardware.
 void persist_copy(void* dst, const void* src, size_t len);
 
-/// Write the whole cache line at `dst` (64-byte aligned) from the 64 B image
-/// at `src` with non-temporal stores (see streams_line_images()).  The sim
-/// hooks see a store followed by a pwb, exactly like persist_copy's
-/// streamed lines, and the bytes count as nvm_bytes and nt_bytes; no pwb is
-/// counted.  Unlike persist_copy no sfence is issued: the caller drains a
-/// whole batch of line images with one nt_drain().
-void nt_store_line(void* dst, const void* src);
+/// The line write-back of both commit paths: write [dst, dst+len), dst
+/// line-aligned, from the bytes at `src` and schedule it for persistence;
+/// src == dst writes it back in place.
+///
+/// Under streams_line_images() every line the range touches is (re-)stored
+/// whole, from the whole line at `src`, with non-temporal stores and no pwb:
+/// the sim hooks see the store and a pwb per line, exactly like
+/// persist_copy's streamed lines, then an on_nt_store() mark; the lines count as
+/// nt_bytes, and as nvm_bytes when copied (a line re-stored in place was
+/// counted by its own store).  No sfence is issued: the caller drains each
+/// phase with one nt_drain() before its next state store.
+///
+/// Otherwise the bytes take the cached path: in place, pwb_range(); copied,
+/// persist_copy() (memcpy + on_store + one pwb per line, or for a run of
+/// nt_threshold bytes and more under CLWB or NOP, a drained stream).
+void persist_lines(void* dst, const void* src, size_t len);
 
 /// Drain this thread's outstanding non-temporal stores (sfence on x86).
-/// Like persist_copy's internal sfence it is not a paper-model fence: it is
-/// neither counted nor reported to the sim hooks, and ordering against
-/// later stores still comes from the caller's pfence()/psync() — which the
-/// CLFLUSH profile maps to a nop, hence this drain.
+/// Not a paper-model fence: it is not counted and reaches the sim hooks as
+/// on_nt_drain(), not on_fence().  Ordering against later pwbs still comes
+/// from the caller's pfence()/psync(), but under the CLFLUSH profile those
+/// are nops and order no NT store: the drain must precede the next state
+/// store.
 void nt_drain();
 
 /// Order preceding pwbs before subsequent ones.

@@ -21,10 +21,9 @@ ShardLayout ShardLayout::compute(size_t region_size, unsigned shards,
     l.header_reserved = header_reserved;
     l.shards = shards;
     l.main_size = ((region_size - header_reserved) / shards / 2) & ~size_t{63};
-    // Every shard needs room for its root table + allocator metadata (~1 KiB)
-    // plus a usable pool; 64 KiB is a generous floor that catches accidental
+    // kMinMainSize is a generous floor that catches accidental
     // tiny-heap/many-shard combinations early with a clear error.
-    if (l.main_size < 64 * 1024)
+    if (l.main_size < kMinMainSize)
         throw std::invalid_argument(
             "ShardLayout: heap too small for the requested shard count");
     return l;

@@ -62,6 +62,14 @@ struct ShardLayout {
     unsigned shards = 1;
     size_t main_size = 0;  ///< per-shard twin-half size (64-byte multiple)
 
+    /// Smallest twin half a shard gets: room for its root table and
+    /// allocator metadata (~1 KiB) plus a usable pool.
+    static constexpr size_t kMinMainSize = 64 * 1024;
+    /// Smallest region compute() accepts for one shard.
+    static constexpr size_t min_region_size(size_t header_reserved) {
+        return header_reserved + 2 * kMinMainSize;
+    }
+
     size_t zone_stride() const { return 2 * main_size; }
     size_t zone_offset(unsigned s) const {
         return header_reserved + size_t(s) * zone_stride();

@@ -55,8 +55,9 @@ struct CommitStats {
                                 ///< and copy-only, RangeLog::add_copy_only)
     /// Bytes written with non-temporal stores: persist_copy's back
     /// replica and streamed whole lines of large store_range payloads in
-    /// main, plus the fast-path apply's 64 B line images (main and back)
-    /// under a profile whose pwb evicts the line (pmem::nt_store_line).
+    /// main, plus the line images both commit paths write back and
+    /// replicate under a profile whose pwb evicts the line
+    /// (pmem::persist_lines).
     uint64_t nt_bytes = 0;
     uint64_t cached_bytes = 0;  ///< persist_copy bytes via cached stores + pwb
     /// Write-backs of lines with no prior dirty store — wasted flushes.

@@ -2,7 +2,7 @@
 // persist_copy non-temporal replication primitive, the hook-free pwb_range
 // fast path and the deferred used_size write-back.
 //
-// Three layers of coverage:
+// Layers of coverage:
 //   1. persist_copy unit semantics against SimPersistence directly (data
 //      copied, lines pending until the next fence, both FlushContent modes,
 //      at most one real pwb — the cached sub-16 B tail).
@@ -15,7 +15,12 @@
 //      only its head/tail lines and the protocol words are written back —
 //      counted exactly, checker-clean, crash-swept, and reproducing the
 //      all-cached counts with the streaming threshold off.
-//   4. The acceptance criterion of the commit-path overhaul: a sequential
+//   4. Slow-path line images: under CLFLUSH the slow path's commit writes
+//      back and replicates its logged lines with NT stores (only the state
+//      and used_size words take a pwb), every other profile keeps one pwb
+//      per line, and both stay checker-clean and crash-consistent, in
+//      logged and in full-copy mode.
+//   5. The acceptance criterion of the commit-path overhaul: a sequential
 //      8 KB-write transaction on the CLWB-or-fallback profile issues >= 30 %
 //      fewer pwbs with the streaming commit path than with every store
 //      cached (nt_threshold = SIZE_MAX), verified via Stats and CommitStats
@@ -24,10 +29,13 @@
 
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "analysis/crash_explorer.hpp"
+#include "analysis/persist_graph.hpp"
 #include "analysis/tx_trace.hpp"
 #include "fence_sweep.hpp"
 #include "pmem/checker.hpp"
@@ -470,6 +478,265 @@ TYPED_TEST(StreamedPayload, EveryFenceCrashIsAllOldOrAllNew_AtFence) {
 
 TYPED_TEST(StreamedPayload, EveryFenceCrashIsAllOldOrAllNew_AtPwb) {
     sweep_streamed_payload<TypeParam>(pmem::FlushContent::AtPwb);
+}
+
+// ------------------------------------------------ slow-path line images
+//
+// The slow path's commit (begin/end_transaction, and the combiner behind
+// updateTx) writes back and replicates its logged lines through
+// pmem::persist_lines, like the fast path's group apply (GroupApply.* in
+// test_stripe_fastpath.cpp): as NT line images under CLFLUSH, as a cached
+// store + pwb per line under every other profile.
+
+template <typename E>
+class SlowPathLineImages : public ::testing::Test {
+  protected:
+    using PU = typename E::template p<uint64_t>;
+    static constexpr size_t kHeapBytes = 1u << 20;
+    /// Counters, one per line, published as root 2; writing all of them
+    /// logs more than used/2, so that commit runs in full-copy mode.
+    static constexpr int kArrayLines = 64;
+    /// Lines of a logged commit, two apart so no back run reaches the NT
+    /// threshold of the cached profiles.
+    static constexpr uint64_t kLines = 3;
+
+    void SetUp() override {
+        pmem::set_profile(pmem::Profile::NOP);
+        update_config().fastpath = false;  // updateTx goes to the combiner
+        session_ = std::make_unique<test::EngineSession<E>>(
+            kHeapBytes, std::string("slow_lines_") + E::name());
+        E::updateTx([&] {
+            auto* arr = static_cast<PU*>(E::alloc_bytes(kArrayLines * 64));
+            for (int i = 0; i < kArrayLines; ++i) arr[i * 8] = 0u;
+            E::put_object(2, arr);
+        });
+    }
+    void TearDown() override {
+        pmem::set_sim_hooks(nullptr);
+        session_.reset();
+    }
+
+    static PU* counters() { return E::template get_object<PU>(2); }
+    static uint64_t in_back(int line) {
+        const auto* m = reinterpret_cast<const uint8_t*>(counters() + line * 8);
+        uint64_t v;
+        std::memcpy(&v, E::back_base() + (m - E::main_base()), sizeof(v));
+        return v;
+    }
+
+    /// The logged commit's stores: kLines counters two lines apart.
+    static void write_lines(uint64_t v) {
+        for (uint64_t i = 0; i < kLines; ++i) counters()[i * 16] = v + i;
+    }
+    static void write_all_lines(uint64_t v) {
+        for (int i = 0; i < kArrayLines; ++i) counters()[i * 8] = v + i;
+    }
+    static void begin_end_commit(uint64_t v) {
+        E::begin_transaction();
+        write_lines(v);
+        E::end_transaction();
+    }
+    static void combiner_commit(uint64_t v) {
+        E::updateTx([&] { write_lines(v); });
+    }
+    static void full_copy_commit(uint64_t v) {
+        E::updateTx([&] { write_all_lines(v); });
+    }
+
+    struct Cost {
+        uint64_t pwbs, nt_bytes, logged_commits;
+    };
+    template <typename F>
+    static Cost cost_of(F&& tx) {
+        const pmem::CommitStats cs0 = pmem::tl_commit_stats();
+        const uint64_t pwb0 = pmem::tl_stats().pwb;
+        tx();
+        const pmem::CommitStats& cs = pmem::tl_commit_stats();
+        return {pmem::tl_stats().pwb - pwb0, cs.nt_bytes - cs0.nt_bytes,
+                cs.commits - cs0.commits};
+    }
+    static void expect_lines(uint64_t v) {
+        for (uint64_t i = 0; i < kLines; ++i) {
+            EXPECT_EQ(counters()[i * 16].pload(), v + i);
+            EXPECT_EQ(in_back(int(i) * 2), v + i);
+        }
+    }
+
+    std::unique_ptr<test::EngineSession<E>> session_;
+    test::UpdateConfigGuard update_guard_;
+};
+
+using LoggingPtms = ::testing::Types<RomulusLog, RomulusLR>;
+TYPED_TEST_SUITE(SlowPathLineImages, LoggingPtms);
+
+TYPED_TEST(SlowPathLineImages, LineImagesReplaceEveryLinePwbUnderClflush) {
+    using E = TypeParam;
+    using Cost = typename TestFixture::Cost;
+    test::ProfileGuard profile(pmem::Profile::CLFLUSH);
+    ASSERT_TRUE(pmem::streams_line_images());
+    uint64_t v = 10;
+    for (bool combiner : {false, true}) {
+        v += 10;
+        const Cost c = this->cost_of([&] {
+            combiner ? this->combiner_commit(v) : this->begin_end_commit(v);
+        });
+        EXPECT_EQ(c.pwbs, 3u) << "combiner=" << combiner;  // MUT, CPY, IDL
+        EXPECT_EQ(c.nt_bytes, 2 * 64 * this->kLines) << "combiner=" << combiner;
+        EXPECT_EQ(c.logged_commits, 1u);
+        this->expect_lines(v);
+    }
+    // An allocating commit grows used_size: its pwb is the only other one.
+    const Cost c = this->cost_of([&] {
+        E::updateTx([&] {
+            (void)E::alloc_bytes(256);
+            this->write_lines(v + 100);
+        });
+    });
+    EXPECT_EQ(c.pwbs, 4u);
+    EXPECT_GE(c.nt_bytes, 2 * 64 * this->kLines);
+    this->expect_lines(v + 100);
+}
+
+// CLWB keeps the line cached, the STT emulation charges NVM cost per pwb,
+// and nt_threshold = SIZE_MAX turns every streaming path off: each keeps a
+// cached store + pwb per line in main and in back, 3 + 2k pwbs.
+TYPED_TEST(SlowPathLineImages, CachedLinesKeepOnePwbPerLineCopy) {
+    using Cost = typename TestFixture::Cost;
+    const uint64_t want = 3 + 2 * this->kLines;
+    uint64_t v = 1000;
+    auto check = [&] {
+        for (bool combiner : {false, true}) {
+            v += 10;
+            const Cost c = this->cost_of([&] {
+                combiner ? this->combiner_commit(v)
+                         : this->begin_end_commit(v);
+            });
+            EXPECT_EQ(c.pwbs, want)
+                << pmem::profile_name(pmem::effective_profile())
+                << " combiner=" << combiner;
+            EXPECT_EQ(c.nt_bytes, 0u);
+            EXPECT_EQ(c.logged_commits, 1u);
+            this->expect_lines(v);
+        }
+    };
+    {
+        test::ProfileGuard profile(pmem::Profile::CLWB);
+        if (pmem::effective_profile() == pmem::Profile::CLWB) check();
+    }
+    {
+        test::ProfileGuard profile(pmem::Profile::STT);
+        check();
+    }
+    {
+        test::ProfileGuard profile(pmem::Profile::CLFLUSH);
+        CommitConfigGuard guard;
+        pmem::commit_config().nt_threshold = SIZE_MAX;
+        check();
+    }
+}
+
+TYPED_TEST(SlowPathLineImages, CheckerStaysCleanUnderBothFlushContents) {
+    using E = TypeParam;
+    using Cost = typename TestFixture::Cost;
+    test::ProfileGuard profile(pmem::Profile::CLFLUSH);
+    uint64_t v = 2000;
+    for (auto content :
+         {pmem::FlushContent::AtFence, pmem::FlushContent::AtPwb}) {
+        pmem::PersistencyChecker::Options opts;
+        opts.content = content;
+        opts.require_log = true;
+        pmem::PersistencyChecker checker(
+            pmem::PersistencyChecker::template layout_of<E>(), opts);
+        pmem::set_sim_hooks(&checker);
+        this->begin_end_commit(v += 10);
+        this->combiner_commit(v += 10);
+        const Cost full = this->cost_of([&] { this->full_copy_commit(v); });
+        pmem::set_sim_hooks(nullptr);
+        EXPECT_EQ(full.logged_commits, 0u) << "expected a full-copy commit";
+        EXPECT_TRUE(checker.clean()) << checker.report();
+        EXPECT_EQ(checker.diagnostics().tx_commits, 3u);
+        EXPECT_EQ(std::memcmp(E::main_base(), E::back_base(), E::used_bytes()),
+                  0);
+    }
+}
+
+// Every legal crash image of a multi-line logged commit, and of a full-copy
+// commit, recovers all-old or all-new; the static rules (the NT drain rule
+// included) find the recording clean.
+TYPED_TEST(SlowPathLineImages, EveryCrashImageIsAllOldOrAllNew) {
+    using E = TypeParam;
+    using PU = typename TestFixture::PU;
+    const std::string path = this->session_->path;
+    uint64_t v = 3000;
+    for (auto prof : {pmem::Profile::CLFLUSH, pmem::Profile::CLWB}) {
+        test::ProfileGuard profile(prof);
+        for (bool full : {false, true}) {
+            SCOPED_TRACE(std::string(pmem::profile_name(prof)) +
+                         (full ? " full-copy" : " logged"));
+            const int lines = full ? this->kArrayLines : int(this->kLines);
+            const int step = full ? 8 : 16;  // counter index stride
+            std::vector<uint64_t> old_vals, new_vals;
+            v += 100;
+            for (int i = 0; i < lines; ++i) {
+                old_vals.push_back(this->counters()[i * step].pload());
+                new_vals.push_back(v + uint64_t(i));
+            }
+            analysis::PersistEventRecorder rec(E::region().base(),
+                                               E::region().size());
+            const uint64_t logged0 = pmem::tl_commit_stats().commits;
+            pmem::set_sim_hooks(&rec);
+            full ? this->full_copy_commit(v) : this->begin_end_commit(v);
+            pmem::set_sim_hooks(nullptr);
+            ASSERT_EQ(pmem::tl_commit_stats().commits - logged0,
+                      full ? 0u : 1u);
+            ASSERT_FALSE(rec.overflowed());
+            const analysis::PersistGraph graph =
+                analysis::PersistGraph::build(rec);
+            const analysis::GraphAnalysis rules = analysis::analyze_protocol(
+                rec, graph, analysis::EngineLayout::of<E>());
+            EXPECT_TRUE(rules.clean()) << rules.report();
+            E::close();
+
+            analysis::ExploreOptions eo;
+            eo.window_samples = 32;
+            const analysis::ExploreReport rep = analysis::explore_crash_images(
+                graph, rec,
+                [&](const std::vector<uint8_t>& image,
+                    const analysis::CrashCut& cut, std::string& err) {
+                    analysis::write_crash_image(path, image);
+                    E::crash_reset_for_tests();
+                    try {
+                        E::init(TestFixture::kHeapBytes, path);
+                    } catch (const std::exception& ex) {
+                        err = std::string("recovery threw: ") + ex.what();
+                        return false;
+                    }
+                    PU* arr = E::template get_object<PU>(2);
+                    std::vector<uint64_t> got;
+                    for (int i = 0; i < lines; ++i)
+                        got.push_back(arr[i * step].pload());
+                    std::ostringstream os;
+                    if (!(got == old_vals || got == new_vals) ||
+                        (cut.complete && got != new_vals))
+                        os << "torn or stale commit recovered; ";
+                    if (analysis::RecoveryCheck rc =
+                            analysis::check_twin_halves<E>();
+                        !rc.ok)
+                        os << rc.detail;
+                    E::close();
+                    err = os.str();
+                    return err.empty();
+                },
+                eo);
+            EXPECT_EQ(rep.violations, 0u) << rep.summary();
+            EXPECT_GT(rep.cuts_explored, 4u) << rep.summary();
+            if (!full) {
+                EXPECT_TRUE(rep.exhaustive) << rep.summary();
+            }
+            E::crash_reset_for_tests();
+            E::init(TestFixture::kHeapBytes, path);
+        }
+    }
 }
 
 // ------------------------------------------------- acceptance criterion

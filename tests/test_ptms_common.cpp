@@ -2,7 +2,11 @@
 // roots, allocation, persistence across close/reopen, concurrent counters.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -82,6 +86,34 @@ TYPED_TEST(PtmCommon, ReopenWithoutSizeMapsTheHeapAtItsOwnSize) {
         got = v->pload();
     });
     EXPECT_EQ(got, 0x5EEDu);
+}
+
+// A file that cannot be a heap (not whole pages, or smaller than a header
+// page and one shard) is refused before init maps it: the mapping would
+// resize it first.
+TYPED_TEST(PtmCommon, InitWithoutSizeRefusesANonHeapFileUntouched) {
+    using P = TypeParam;
+    P::close();
+    const std::string path = this->session_->path + ".text";
+    for (size_t bytes : {size_t{1100}, size_t{5000}}) {
+        std::string text;
+        for (size_t i = 0; text.size() < bytes; ++i)
+            text += "line " + std::to_string(i) + " of a text file\n";
+        text.resize(bytes);
+        {
+            std::ofstream f(path, std::ios::binary | std::ios::trunc);
+            f << text;
+        }
+        EXPECT_THROW(P::init(0, path), NotAHeapError) << bytes << " bytes";
+        EXPECT_FALSE(P::initialized());
+        std::ifstream f(path, std::ios::binary);
+        const std::string after((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+        EXPECT_EQ(after.size(), bytes);
+        EXPECT_TRUE(after == text) << bytes << "-byte file was modified";
+    }
+    std::remove(path.c_str());
+    P::init(16u << 20, this->session_->path);
 }
 
 TYPED_TEST(PtmCommon, StoreRangeRoundTrips) {

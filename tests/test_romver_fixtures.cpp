@@ -121,10 +121,64 @@ TEST(RomverFixtures, FastPathReorderedStatePersistIsFlagged) {
     GraphAnalysis ga = record_and_analyze("romver_fp_reorder", 64, &fp_commits);
     EXPECT_EQ(fp_commits, 1u);
     ASSERT_FALSE(ga.clean());
+    // The CPY state persists ahead of the body: its lines are unordered
+    // with it, and under a line-image profile the drain of their NT images
+    // (the body write-back) comes after it too.
+    size_t unordered = 0;
     for (const ProtocolViolation& v : ga.violations) {
-        EXPECT_EQ(v.kind, ProtocolViolation::Kind::UnorderedStatePersist);
+        if (v.kind == ProtocolViolation::Kind::UnorderedStatePersist)
+            ++unordered;
+        else
+            EXPECT_EQ(v.kind, ProtocolViolation::Kind::UndrainedNtLine);
         EXPECT_EQ(v.state_value, 2u);
     }
+    EXPECT_GT(unordered, 0u);
+}
+
+/// Record with the NT drains of the commit elided, under CLFLUSH (whose
+/// commits stream line images), and require every violation to be an
+/// undrained NT line, at CPY (main images) and at IDL (back images).
+void expect_undrained_at_cpy_and_idl(const GraphAnalysis& ga) {
+    ASSERT_FALSE(ga.clean());
+    bool at_cpy = false, at_idl = false;
+    for (const ProtocolViolation& v : ga.violations) {
+        EXPECT_EQ(v.kind, ProtocolViolation::Kind::UndrainedNtLine);
+        EXPECT_NE(v.detail.find("not drained"), std::string::npos);
+        at_cpy |= v.state_value == 2u;
+        at_idl |= v.state_value == 0u;
+    }
+    EXPECT_TRUE(at_cpy) << ga.report();
+    EXPECT_TRUE(at_idl) << ga.report();
+}
+
+TEST(RomverFixtures, ElidedNtDrainIsFlagged) {
+    MutationGuard guard;
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    protocol_mutations().elide_nt_drain = true;
+    expect_undrained_at_cpy_and_idl(record_and_analyze("romver_ntdrain"));
+}
+
+TEST(RomverFixtures, FastPathElidedNtDrainIsFlagged) {
+    MutationGuard guard;
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    protocol_mutations().elide_nt_drain = true;
+    uint64_t fp_commits = 0;
+    GraphAnalysis ga = record_and_analyze("romver_fp_ntdrain", 64, &fp_commits);
+    EXPECT_EQ(fp_commits, 1u);
+    expect_undrained_at_cpy_and_idl(ga);
+}
+
+// In the cached order no commit streams line images, so there is no drain
+// to elide and the same mutation leaves the protocol clean.
+TEST(RomverFixtures, ElidedNtDrainIsSilentInTheCachedOrder) {
+    MutationGuard guard;
+    ProfileGuard profile(pmem::Profile::CLFLUSH);
+    const pmem::CommitConfig saved = pmem::commit_config();
+    pmem::commit_config().nt_threshold = SIZE_MAX;
+    protocol_mutations().elide_nt_drain = true;
+    GraphAnalysis ga = record_and_analyze("romver_ntdrain_cached");
+    pmem::commit_config() = saved;
+    EXPECT_TRUE(ga.clean()) << ga.report();
 }
 
 TEST(RomverFixtures, ControlAfterMutationsIsCleanAgain) {

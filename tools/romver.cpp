@@ -7,7 +7,8 @@
 //
 //   romver [--engine all|nl|log|lr|undo|redo] [--tx-bytes N] [--heap-mb N]
 //          [--budget N] [--window-samples N] [--exhaustive-cap N] [--seed N]
-//          [--mutate none|elide-fence|reorder-state] [--expect-violations]
+//          [--mutate none|elide-fence|reorder-state|elide-nt-drain]
+//          [--expect-violations]
 //          [--no-explore] [--report FILE] [--path FILE]
 //
 // Exit status: 0 when every engine is clean (or, with --expect-violations,
@@ -59,7 +60,7 @@ struct Cli {
     std::cerr << "usage: romver [--engine all|nl|log|lr|undo|redo]"
                  " [--tx-bytes N] [--heap-mb N] [--budget N]"
                  " [--window-samples N] [--exhaustive-cap N] [--seed N]"
-                 " [--mutate none|elide-fence|reorder-state]"
+                 " [--mutate none|elide-fence|reorder-state|elide-nt-drain]"
                  " [--expect-violations] [--no-explore] [--report FILE]"
                  " [--path FILE]\n";
     std::exit(2);
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
         std::cout << "env tuning: " << tuned << "\n";
 
     if (cli.mutate != "none" && cli.mutate != "elide-fence" &&
-        cli.mutate != "reorder-state")
+        cli.mutate != "reorder-state" && cli.mutate != "elide-nt-drain")
         usage("unknown --mutate " + cli.mutate);
     bool mutating = cli.mutate != "none";
     if (mutating) {
@@ -159,6 +160,7 @@ int main(int argc, char** argv) {
         protocol_mutations().elide_commit_fence = cli.mutate == "elide-fence";
         protocol_mutations().reorder_state_persist =
             cli.mutate == "reorder-state";
+        protocol_mutations().elide_nt_drain = cli.mutate == "elide-nt-drain";
     }
 
     std::vector<EngineResult> results;
@@ -184,9 +186,14 @@ int main(int argc, char** argv) {
     if (results.empty()) usage("no engine matched " + cli.engine);
 
     std::ostringstream all;
+    // The flush profile decides the commit's write-back order: NT line
+    // images drained before each state store, or cached stores + pwbs
+    // ordered by the pfences (ROMULUS_NT_THRESHOLD=18446744073709551615).
     all << "romver report (tx-bytes=" << cli.tx_bytes
         << ", seed=" << cli.seed << ", mutate=" << cli.mutate
         << ", mutation-hooks=" << (kPersistGraphEnabled ? "armed" : "absent")
+        << ", profile=" << pmem::profile_name(pmem::effective_profile())
+        << ", line-images=" << (pmem::streams_line_images() ? "nt" : "cached")
         << ")\n";
     bool any_flagged = false, all_flagged = true;
     for (const EngineResult& r : results) {
